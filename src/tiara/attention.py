@@ -5,18 +5,18 @@ Logits are pre-softmax frame-to-frame scores (any key-dimension scaling is
 assumed already applied by the producer).  The pipeline softmaxes them,
 estimates a per-frame motion intensity from the windowed spectrum of each
 attention row, writes -alpha * (1 - rho_i) onto the diagonal of a corner
-penalty matrix, and re-softmaxes the shifted logits.
+penalty matrix, and re-softmaxes the shifted logits.  Every step batches
+over leading axes: a (..., N, N) stack is processed as independent maps,
+and each map gets the same bits as when it is processed alone.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Window, dstft_bins, pad_periodic
+from .spectral import Window, as_square, dstft_bins
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,14 @@ class ReweightMatrix:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Per-frame motion intensities and the band that produced them."""
+    """Per-frame motion intensities, the band that produced them, and the
+    one-sided row spectra (shape rho.shape + (Npad//2 + 1,)) behind them."""
 
     rho: np.ndarray
     phi1: int
     phi2: int
     window: Window
+    spectra: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,14 @@ class TiaraResult:
 
 
 def as_logits(scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ValidationError(f"logits must be a square matrix, got shape {scores.shape}")
+    scores = as_square(scores, "logits", stacked=True)
     if not np.all(np.isfinite(scores)):
         raise ValidationError("logits must be finite")
     return scores
 
 
 def softmax_rows(logits) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for stability."""
+    """Softmax over the last axis with max-subtraction for stability."""
     scores = np.asarray(logits, dtype=float)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -68,40 +68,70 @@ def reweighted_attention(logits, penalty, values):
     """Apply an additive penalty before the softmax.
 
     Returns ``(attention, output)`` where ``attention`` is the row-softmax
-    of ``logits + penalty`` and ``output = attention @ values``.  A zero
-    penalty reproduces plain attention exactly.
+    of ``logits + penalty`` and ``output = attention @ values``.  Logits and
+    penalty have shape (..., N, N) and values (..., N, d_v), or (N,) for a
+    single map.  A zero penalty reproduces plain attention exactly.
     """
     logits = as_logits(logits)
-    n = logits.shape[0]
     lam = penalty.matrix if isinstance(penalty, ReweightMatrix) else np.asarray(penalty, dtype=float)
     if lam.shape != logits.shape:
         raise ValidationError(f"penalty shape {lam.shape} does not match logits shape {logits.shape}")
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != n:
+    frames = values.shape if values.ndim == 1 else values.shape[:-1]
+    if frames != logits.shape[:-1]:
         raise ValidationError(
-            f"values shape {values.shape} does not match frame count {n}")
+            f"values shape {values.shape} does not match logits shape {logits.shape}")
     attention = softmax_rows(logits + lam)
     return attention, attention @ values
 
 
-def row_spectrum(row, window: Window, i: int) -> np.ndarray:
+def row_spectrum(row, window: Window, i) -> np.ndarray:
     """One-sided magnitude spectrum of an attention row around frame i.
 
     The row's mean is removed (the static level carries no motion), the
     deviation is padded periodically by L//2 on each side, and the windowed
     transform is taken at the padded position of sample i.  Returned
     magnitudes cover frequency indices 0 .. floor(Npad/2) of the padded
-    transform.
+    transform.  Rows may be stacked as (..., N), with ``i`` broadcast
+    against the leading axes.
     """
     row = np.asarray(row, dtype=float)
-    n = len(row)
-    if not 0 <= i < n:
+    n = row.shape[-1]
+    i = np.asarray(i)
+    if np.any((i < 0) | (i >= n)):
         raise ValidationError(f"row index {i} out of range [0, {n})")
+    finite = np.isfinite(row)
+    if not finite.all():
+        raise ValidationError("attention rows must be finite; first non-finite entry at "
+                              f"index {tuple(np.argwhere(~finite)[0].tolist())}")
     half = window.half
-    padded = pad_periodic(row - row.mean(), half, half)
-    npad = n + 2 * half
-    ks = np.arange(npad // 2 + 1)
+    deviation = row - row.mean(axis=-1, keepdims=True)
+    padded = deviation[..., np.arange(-half, n + half) % n]
+    ks = np.arange((n + 2 * half) // 2 + 1)
     return np.abs(dstft_bins(padded, window, i + half, ks))
+
+
+def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int]:
+    """Resolve the default band thresholds of an N-frame row and check them."""
+    npad = n + 2 * window.half
+    if phi1 is None:
+        phi1 = ceil(npad / 8)
+    if phi2 is None:
+        phi2 = npad // 2 + 1
+    if not (isinstance(phi1, (int, np.integer)) and isinstance(phi2, (int, np.integer))):
+        raise ValidationError("phi1 and phi2 must be integers")
+    if not 0 <= phi1 < phi2 <= npad // 2 + 1:
+        raise ValidationError(
+            f"thresholds must satisfy 0 <= phi1 < phi2 <= {npad // 2 + 1}, got ({phi1}, {phi2})")
+    return int(phi1), int(phi2)
+
+
+def _high_band_fraction(rows: np.ndarray, spectra: np.ndarray, phi1: int, phi2: int) -> np.ndarray:
+    power = spectra[..., :phi2] ** 2
+    denominator = power.sum(axis=-1)
+    moving = (rows.max(axis=-1) != rows.min(axis=-1)) & (denominator != 0.0)
+    return np.divide(power[..., phi1:].sum(axis=-1), denominator,
+                     out=np.zeros(denominator.shape), where=moving)
 
 
 def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
@@ -115,72 +145,48 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
     definition and return 0.0 exactly, as does a vanishing spectrum.
     """
     row = np.asarray(row, dtype=float)
-    n = len(row)
-    if not 0 <= i < n:
-        raise ValidationError(f"row index {i} out of range [0, {n})")
-    npad = n + 2 * window.half
-    if phi1 is None:
-        phi1 = ceil(npad / 8)
-    if phi2 is None:
-        phi2 = npad // 2 + 1
-    if not (isinstance(phi1, (int, np.integer)) and isinstance(phi2, (int, np.integer))):
-        raise ValidationError("phi1 and phi2 must be integers")
-    if not 0 <= phi1 < phi2 <= npad // 2 + 1:
-        raise ValidationError(
-            f"thresholds must satisfy 0 <= phi1 < phi2 <= {npad // 2 + 1}, got ({phi1}, {phi2})")
-    if row.max() == row.min():
-        return 0.0
-    power = row_spectrum(row, window, i)[:phi2] ** 2
-    denominator = power.sum()
-    if denominator == 0.0:
-        return 0.0
-    return float(power[phi1:].sum() / denominator)
+    phi1, phi2 = _band(len(row), window, phi1, phi2)
+    return float(_high_band_fraction(row, row_spectrum(row, window, i), phi1, phi2))
 
 
 def motion_profile(attention_map, window: Window, phi1: int | None = None,
                    phi2: int | None = None) -> MotionProfile:
-    """Motion intensity of every row of an attention map (row i at shift i)."""
-    a = np.asarray(attention_map, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"attention map must be square, got shape {a.shape}")
-    n = a.shape[0]
-    npad = n + 2 * window.half
-    resolved1 = ceil(npad / 8) if phi1 is None else phi1
-    resolved2 = npad // 2 + 1 if phi2 is None else phi2
-    rho = np.array([motion_intensity(a[i], window, i, resolved1, resolved2) for i in range(n)])
-    return MotionProfile(rho=rho, phi1=resolved1, phi2=resolved2, window=window)
+    """Motion intensity of every row of an attention map (row i at shift i).
+
+    Maps may be stacked as (..., N, N); rho then has shape (..., N).
+    """
+    a = as_square(attention_map, "attention map", stacked=True)
+    n = a.shape[-1]
+    phi1, phi2 = _band(n, window, phi1, phi2)
+    spectra = row_spectrum(a, window, np.arange(n))
+    return MotionProfile(rho=_high_band_fraction(a, spectra, phi1, phi2), phi1=phi1,
+                         phi2=phi2, window=window, spectra=spectra)
 
 
 def build_reweight_matrix(rho, alpha: float, corner_size: int,
                           corner_penalty: float) -> ReweightMatrix:
     """Assemble the penalty matrix: diagonal entry i is -alpha * (1 - rho_i),
-    and the c-sized upper-right / lower-left corner triangles get -beta."""
+    and the c-sized upper-right / lower-left corner triangles get -beta.
+
+    A stack of rho vectors (..., N) gives a stack of matrices (..., N, N).
+    """
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    if rho.ndim != 1:
-        raise ValidationError("rho must be a 1-D sequence")
+    if rho.ndim < 1:
+        raise ValidationError("rho must be a sequence (or a stack of them)")
     if np.any(rho < 0) or np.any(rho > 1):
         raise ValidationError("motion intensities must lie in [0, 1]")
     if alpha < 0 or corner_penalty < 0:
         raise ValidationError("alpha and corner_penalty must be >= 0")
-    n = len(rho)
+    n = rho.shape[-1]
     if not 0 <= corner_size <= n // 2:
         raise ValidationError(f"corner_size must lie in [0, {n // 2}], got {corner_size}")
-    lam = np.zeros((n, n))
-    if corner_size > 0:
-        i, j = np.indices((n, n))
-        corner = (i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size)
-        lam[corner] = -corner_penalty
-    lam[np.arange(n), np.arange(n)] = -alpha * (1.0 - rho)
+    i, j = np.indices((n, n))
+    corner = (i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size)
+    lam = np.zeros(rho.shape + (n,))
+    lam[..., corner] = -corner_penalty
+    lam[..., np.arange(n), np.arange(n)] = -alpha * (1.0 - rho)
     return ReweightMatrix(matrix=lam, alpha=float(alpha), corner_size=int(corner_size),
                           corner_penalty=float(corner_penalty))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("TIARA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
@@ -189,11 +195,11 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     """Motion-adaptive attention reweighting over a spatial field.
 
     ``logits_field`` has shape (H, W, N, N) and ``values_field``
-    (H, W, N, d_v).  For each spatial location the plain attention map is
-    formed, per-row motion intensities set the diagonal of the penalty on
-    top of the corner base matrix, and the output is the re-softmaxed
-    attention applied to the values.  Locations are independent; the loop
-    parallelises across TIARA_THREADS threads.
+    (H, W, N, d_v).  The plain attention maps of all locations are formed
+    at once, per-row motion intensities set the diagonal of each location's
+    penalty on top of the corner base matrix, and the output is the
+    re-softmaxed attention applied to the values.  Locations are
+    independent: each gets the same bits as when it is run alone.
 
     ``corner_size`` defaults to N//4 and ``corner_penalty`` to alpha/2.
     With alpha = 0 and corner_penalty = 0 the output equals plain attention.
@@ -205,32 +211,12 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     if values_field.ndim != 4 or values_field.shape[:3] != logits_field.shape[:3]:
         raise ValidationError(
             f"values field shape {values_field.shape} does not match logits field {logits_field.shape}")
-    h, w_dim, n = logits_field.shape[:3]
+    n = logits_field.shape[2]
     if corner_size is None:
         corner_size = n // 4
     if corner_penalty is None:
         corner_penalty = alpha / 2.0
-
-    outputs = np.empty_like(values_field)
-    attention = np.empty_like(logits_field)
-    rho_field = np.empty((h, w_dim, n))
-
-    def process(hw):
-        hi, wi = hw
-        logits = logits_field[hi, wi]
-        profile = motion_profile(softmax_rows(logits), window, phi1, phi2)
-        penalty = build_reweight_matrix(profile, alpha, corner_size, corner_penalty)
-        a_new, out = reweighted_attention(logits, penalty, values_field[hi, wi])
-        outputs[hi, wi] = out
-        attention[hi, wi] = a_new
-        rho_field[hi, wi] = profile.rho
-
-    locations = [(hi, wi) for hi in range(h) for wi in range(w_dim)]
-    workers = _worker_count()
-    if workers > 1 and len(locations) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(process, locations))
-    else:
-        for loc in locations:
-            process(loc)
-    return TiaraResult(outputs=outputs, attention=attention, rho=rho_field)
+    profile = motion_profile(softmax_rows(logits_field), window, phi1, phi2)
+    penalty = build_reweight_matrix(profile, alpha, corner_size, corner_penalty)
+    attention, outputs = reweighted_attention(logits_field, penalty, values_field)
+    return TiaraResult(outputs=outputs, attention=attention, rho=profile.rho)

@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attention import motion_profile, row_spectrum, softmax_rows, tiara
-from .config import Config, load_config, validate_config
+from .attention import motion_profile, softmax_rows, tiara
+from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import TensorFileError, ValidationError
 from .promptblend import (TokenTable, align, conditioning, embed_aligned,
                           make_schedule, parse_organized)
@@ -26,24 +26,17 @@ EXIT_VALIDATION = 2
 EXIT_THEOREM = 3
 EXIT_IO = 4
 
-_OVERRIDES = (
-    ("alpha", float), ("corner_size", int), ("corner_penalty", float),
-    ("window_kind", str), ("window_length", int), ("phi1", int), ("phi2", int),
-    ("k_threshold", int), ("eta", float), ("t1", float), ("t2", float),
-    ("layer_threshold", int), ("seed", int),
-)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key=value config file")
-    for name, cast in _OVERRIDES:
+    for name, cast in CONFIG_KEYS.values():
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, type=cast, default=None, dest=name)
 
 
 def _resolve_config(args) -> Config:
     config = load_config(args.config) if args.config else Config()
-    updates = {name: getattr(args, name) for name, _ in _OVERRIDES
+    updates = {name: getattr(args, name) for name, _ in CONFIG_KEYS.values()
                if getattr(args, name) is not None}
     if updates:
         config = validate_config(replace(config, **updates))
@@ -53,32 +46,23 @@ def _resolve_config(args) -> Config:
 def _require_field(array, name: str) -> np.ndarray:
     if array.ndim != 4:
         raise ValidationError(f"{name} must be a rank-4 tensor (H, W, N, N), got rank {array.ndim}")
+    if array.shape[2] != array.shape[3]:
+        raise ValidationError(f"{name} trailing dims must be square, got {array.shape}")
     return array
 
 
 def cmd_analyze(args) -> int:
     config = _resolve_config(args)
     logits = _require_field(read_tensor(args.input), "logits field")
-    if logits.shape[2] != logits.shape[3]:
-        raise ValidationError(f"logits field trailing dims must be square, got {logits.shape}")
-    h, w_dim, n = logits.shape[:3]
-    window = config.window()
-    rho = np.empty((h, w_dim, n))
-    spectro_rows = []
-    for hi in range(h):
-        for wi in range(w_dim):
-            attention = softmax_rows(logits[hi, wi])
-            profile = motion_profile(attention, window, config.phi1, config.phi2)
-            rho[hi, wi] = profile.rho
-            if args.spectrogram:
-                for i in range(n):
-                    for k, magnitude in enumerate(row_spectrum(attention[i], window, i)):
-                        spectro_rows.append(f"{hi},{wi},{i},{k},{float(magnitude)!r}")
-    write_tensor(args.output, rho)
+    profile = motion_profile(softmax_rows(logits), config.window(), config.phi1, config.phi2)
+    write_tensor(args.output, profile.rho)
     if args.spectrogram:
+        spectra = profile.spectra
+        lines = [f"{hi},{wi},{i},{k},{magnitude!r}" for (hi, wi, i, k), magnitude
+                 in zip(np.ndindex(spectra.shape), spectra.ravel().tolist())]
         with open(args.spectrogram, "w", encoding="utf-8") as handle:
             handle.write("h,w,i,k,magnitude\n")
-            handle.write("\n".join(spectro_rows) + "\n")
+            handle.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

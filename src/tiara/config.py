@@ -7,7 +7,8 @@ frame count is known (corner_size -> N//4, corner_penalty -> alpha/2, the
 band thresholds -> the padded-length defaults).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args
 
 from .errors import ConfigError
 from .spectral import WINDOW_KINDS, Window, make_window
@@ -39,21 +40,11 @@ class Config:
         return self.alpha / 2.0 if self.corner_penalty is None else self.corner_penalty
 
 
-_KEY_TO_FIELD = {
-    "alpha": ("alpha", float),
-    "corner_size": ("corner_size", int),
-    "corner_penalty": ("corner_penalty", float),
-    "window.kind": ("window_kind", str),
-    "window.length": ("window_length", int),
-    "phi1": ("phi1", int),
-    "phi2": ("phi2", int),
-    "k_threshold": ("k_threshold", int),
-    "eta": ("eta", float),
-    "t1": ("t1", float),
-    "t2": ("t2", float),
-    "layer_threshold": ("layer_threshold", int),
-    "seed": ("seed", int),
-}
+# Config-file key -> (Config field, parser), derived from the dataclass so
+# that the file keys and the CLI override flags (--field-name) cannot drift.
+_FILE_ALIASES = {"window_kind": "window.kind", "window_length": "window.length"}
+CONFIG_KEYS = {_FILE_ALIASES.get(f.name, f.name): (f.name, (get_args(f.type) or (f.type,))[0])
+               for f in fields(Config)}
 
 
 def validate_config(config: Config) -> Config:
@@ -97,9 +88,9 @@ def load_config(path) -> Config:
             key, _, raw = stripped.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in _KEY_TO_FIELD:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            field, cast = _KEY_TO_FIELD[key]
+            field, cast = CONFIG_KEYS[key]
             try:
                 updates[field] = cast(raw)
             except ValueError:

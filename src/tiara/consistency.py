@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Window, as_signal, dstft_bins
+from .spectral import Window, as_signal, as_square, dstft_bins
 
 KAPPA_TOLERANCE = 1e-12
 
@@ -35,10 +35,12 @@ def inconsistency_error(x, w: Window, tau: int, k_t: int) -> float:
 
 
 def inconsistency_profile(x, w: Window, k_t: int) -> InconsistencyReport:
+    """E(x, tau) for every shift tau in [0, N), from one batched transform."""
     x = as_signal(x)
-    k_t = _check_threshold(k_t, len(x))
-    ks = np.arange(k_t, len(x) // 2 + 1)
-    per_tau = np.array([np.abs(dstft_bins(x, w, tau, ks)).sum() for tau in range(len(x))])
+    n = len(x)
+    k_t = _check_threshold(k_t, n)
+    ks = np.arange(k_t, n // 2 + 1)
+    per_tau = np.abs(dstft_bins(x, w, np.arange(n), ks)).sum(axis=-1)
     return InconsistencyReport(per_tau=per_tau, k_threshold=k_t, window=w)
 
 
@@ -48,10 +50,7 @@ def dynamic_component(a) -> np.ndarray:
     The result is deliberately not row-stochastic: row i sums to
     1 - a[i, i].  It captures the influence of all other frames on frame i.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    out = a.copy()
+    out = as_square(a, "attention map").copy()
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -71,16 +70,11 @@ def estimate_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE) 
     n = len(x)
     k_t = _check_threshold(k_t, n)
     ks = np.arange(k_t, n // 2 + 1)
-    best = 0.0
-    any_kept = False
-    for tau in range(n):
-        mag_x = np.abs(dstft_bins(x, w, tau, ks))
-        mag_d = np.abs(dstft_bins(x_dyn, w, tau, ks))
-        keep = mag_x >= tol
-        if keep.any():
-            any_kept = True
-            best = max(best, float((mag_d[keep] / mag_x[keep]).max()))
-    return best if any_kept else 0.0
+    taus = np.arange(n)
+    mag_x = np.abs(dstft_bins(x, w, taus, ks))
+    mag_d = np.abs(dstft_bins(x_dyn, w, taus, ks))
+    keep = mag_x >= tol
+    return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0
 
 
 def homogeneity_deviation(a) -> float:
@@ -88,13 +82,7 @@ def homogeneity_deviation(a) -> float:
 
     Zero exactly when the matrix is circulant.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    rows = np.arange(n)
-    worst = 0.0
-    for k in range(n):
-        diag = a[rows, (rows + k) % n]
-        worst = max(worst, float(diag.max() - diag.min()))
-    return worst
+    a = as_square(a, "attention map")
+    rows = np.arange(a.shape[0])[:, None]
+    diagonals = a[rows, (rows + rows.T) % a.shape[0]]  # diagonals[i, k] = a[i, i+k]
+    return float(np.ptp(diagonals, axis=0).max()) if a.size else 0.0

@@ -1,7 +1,8 @@
 """Discrete Fourier and short-time Fourier transforms with window functions.
 
 A signal is a 1-D array of finite floats, indexed periodically: sample n
-means sample n mod N everywhere in this module.  Transforms are direct
+means sample n mod N everywhere in this module (``dstft_bins`` also takes a
+stack of signals along leading axes).  Transforms are direct
 O(N) summations per coefficient; at the few hundred samples this toolkit
 works with, correctness and bit-stable results matter more than FFT speed.
 """
@@ -55,6 +56,16 @@ def as_signal(x) -> np.ndarray:
     return x
 
 
+def as_square(a, name: str, stacked: bool = False) -> np.ndarray:
+    """Float array of one square matrix, or with ``stacked`` of a stack of
+    them with shape (..., N, N)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or (a.ndim > 2 and not stacked):
+        kind = "square matrices (..., N, N)" if stacked else "a square matrix"
+        raise ValidationError(f"{name} must be {kind}, got shape {a.shape}")
+    return a
+
+
 def make_window(kind: str, length: int) -> Window:
     """Build a window of the given kind and length.
 
@@ -104,17 +115,38 @@ def dft(x, k: int) -> complex:
     return complex(np.sum(x * np.exp(-2j * np.pi * k * np.arange(n) / n)))
 
 
-def dstft_bins(x: np.ndarray, w: Window, m: int, ks: np.ndarray) -> np.ndarray:
-    """Windowed transform at shift m for a vector of frequency indices.
+def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
+    """Windowed transform of a stack of signals, one shift per signal.
 
-    The sum runs over the window support; sample positions m + j - L//2 and
-    the complex exponential are both taken N-periodically, matching the
-    periodic extension used throughout.
+    Signals lie along the last axis of ``x`` (period N = x.shape[-1]); ``m``
+    holds one shift per signal and broadcasts against ``x.shape[:-1]``, so
+    the result has shape broadcast(x.shape[:-1], m.shape) + (len(ks),).  The
+    sum runs over the window support; sample positions m + j - L//2 and the
+    complex exponential are both taken N-periodically, matching the
+    periodic extension used throughout.  The exponential factors into a
+    per-shift phase exp(-2i pi (m k mod N) / N) times one (L, K) basis,
+    both read from one table of the N-th roots of unity.
+
+    The taps are accumulated one at a time in a fixed order, so each signal
+    gets the same bits whatever is stacked beside it (a BLAS product would
+    not guarantee that).
     """
-    n = len(x)
-    pos = m + np.arange(w.length) - w.half
-    weighted = w.coefficients * x[pos % n]
-    return weighted @ np.exp(-2j * np.pi * np.outer(pos, np.asarray(ks)) / n)
+    x = np.asarray(x, dtype=float)
+    m = np.asarray(m)
+    ks = np.asarray(ks)
+    n = x.shape[-1]
+    shape = np.broadcast_shapes(x.shape[:-1], m.shape)
+    offsets = np.arange(w.length) - w.half
+    pos = (m[..., None] + offsets) % n
+    taps = np.take_along_axis(np.broadcast_to(x, shape + (n,)),
+                              np.broadcast_to(pos, shape + (w.length,)), axis=-1)
+    taps = taps * w.coefficients
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    basis = roots[np.outer(offsets, ks) % n]
+    total = sum(taps[..., j, None] * basis[j] for j in range(w.length))
+    # Out of place: NumPy's in-place complex multiply rounds short arrays
+    # differently, which would make a signal's bits depend on the stack.
+    return roots[(m[..., None] * ks) % n] * total
 
 
 def dstft(x, w: Window, m: int, k: int) -> complex:
@@ -142,8 +174,5 @@ def spectrogram(x, w: Window) -> Spectrogram:
     """All N x N short-time coefficients of a signal under one window."""
     x = as_signal(x)
     n = len(x)
-    ks = np.arange(n)
-    coeffs = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        coeffs[m] = dstft_bins(x, w, m, ks)
+    coeffs = dstft_bins(x, w, np.arange(n), np.arange(n))
     return Spectrogram(coefficients=coeffs, signal_length=n, window=w)

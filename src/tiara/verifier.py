@@ -19,7 +19,7 @@ from .attention import softmax_rows
 from .consistency import (dynamic_component, estimate_kappa,
                           homogeneity_deviation, inconsistency_profile)
 from .errors import ValidationError
-from .spectral import Window
+from .spectral import Window, as_square
 
 E_TOLERANCE = 1e-12
 DENOMINATOR_FLOOR = 1e-12
@@ -155,9 +155,7 @@ class TheoremReport:
 def make_instance(attention, values, window: Window, k_t: int, eta: float) -> TheoremInstance:
     """Measure kappa-hat, the smallest diagonal entry, and the homogeneity
     deviation of an attention/values pair, and flag feasibility."""
-    a = np.asarray(attention, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"attention must be square, got shape {a.shape}")
+    a = as_square(attention, "attention")
     if np.any(a < 0.0) or np.any(a > 1.0):
         raise ValidationError("attention entries must lie in [0, 1]")
     if np.abs(a.sum(axis=1) - 1.0).max() > 1e-9:

@@ -216,13 +216,16 @@ class TestTiaraPipeline:
         with pytest.raises(ValidationError, match="values field"):
             tiara(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 1)), w)
 
-    def test_thread_env_gives_identical_results(self, monkeypatch):
+    def test_stacked_locations_match_single_locations(self):
         rng = np.random.default_rng(33)
         logits = rng.standard_normal((3, 2, 10, 10))
         values = rng.standard_normal((3, 2, 10, 2))
         w = make_window("gaussian", 7)
-        sequential = tiara(logits, values, w, alpha=4.0)
-        monkeypatch.setenv("TIARA_THREADS", "4")
-        threaded = tiara(logits, values, w, alpha=4.0)
-        assert np.array_equal(sequential.outputs, threaded.outputs)
-        assert np.array_equal(sequential.attention, threaded.attention)
+        stacked = tiara(logits, values, w, alpha=4.0)
+        for hi in range(3):
+            for wi in range(2):
+                alone = tiara(logits[hi:hi + 1, wi:wi + 1], values[hi:hi + 1, wi:wi + 1],
+                              w, alpha=4.0)
+                assert np.array_equal(stacked.rho[hi, wi], alone.rho[0, 0])
+                assert np.array_equal(stacked.attention[hi, wi], alone.attention[0, 0])
+                assert np.array_equal(stacked.outputs[hi, wi], alone.outputs[0, 0])

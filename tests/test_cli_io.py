@@ -8,7 +8,7 @@ import pytest
 from tiara import (ConfigError, TensorFileError, ValidationError, make_window,
                    motion_intensity, read_tensor, softmax_rows, tiara,
                    write_tensor)
-from tiara.cli import main
+from tiara.cli import _resolve_config, build_parser, main
 from tiara.config import Config, load_config
 from tiara.verifier import gen_homogeneous_attention, gen_inconsistent_values
 
@@ -97,6 +97,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "2.5"), ("corner_size", "3"), ("corner_penalty", "1.5"),
+        ("window.kind", "hann"), ("window.length", "7"), ("phi1", "2"), ("phi2", "5"),
+        ("k_threshold", "3"), ("eta", "0.5"), ("t1", "0.2"), ("t2", "0.9"),
+        ("layer_threshold", "4"), ("seed", "11")])
+    def test_flag_and_file_give_the_same_config(self, tmp_path, key, value):
+        path = tmp_path / "tiara.cfg"
+        path.write_text(f"{key} = {value}\n")
+        from_file = load_config(path)
+        flag = "--" + key.replace(".", "-").replace("_", "-")
+        args = build_parser().parse_args(["synth", "--n", "8", "--out-logits", "l.tf",
+                                          "--out-values", "v.tf", flag, value])
+        assert _resolve_config(args) == from_file
+        assert from_file != Config()
+
     def test_module_preconditions_enforced(self, tmp_path):
         path = tmp_path / "tiara.cfg"
         path.write_text("eta = 1.5\n")
@@ -177,6 +192,33 @@ class TestAnalyzeCommand:
         lp = tmp_path / "l.tf"
         write_tensor(lp, np.zeros((4, 4)))
         assert run_cli("analyze", "--input", lp, "--output", tmp_path / "rho.tf") == 2
+
+
+class TestInputPolicy:
+    """analyze accepts masked (-inf) logits; a NaN or a fully masked row is
+    rejected.  reweight rejects all three."""
+
+    @pytest.mark.parametrize("case, analyze_code", [
+        ("masked", 0), ("nan", 2), ("fully_masked", 2)])
+    def test_non_finite_logits(self, tmp_path, case, analyze_code):
+        rng = np.random.default_rng(78)
+        logits = rng.standard_normal((1, 2, 6, 6))
+        if case == "masked":
+            logits[0, 1, 2, 4] = -np.inf
+        elif case == "nan":
+            logits[0, 0, 3, 1] = np.nan
+        else:
+            logits[0, 1, 5, :] = -np.inf
+        lp, vp, rp = tmp_path / "l.tf", tmp_path / "v.tf", tmp_path / "rho.tf"
+        write_tensor(lp, logits)
+        write_tensor(vp, rng.standard_normal((1, 2, 6, 1)))
+        assert run_cli("analyze", "--input", lp, "--output", rp) == analyze_code
+        if analyze_code == 0:
+            rho = read_tensor(rp)
+            assert np.all(np.isfinite(rho)) and rho.min() >= 0.0 and rho.max() <= 1.0
+        assert run_cli("reweight", "--logits", lp, "--values", vp,
+                       "--out-values", tmp_path / "o.tf",
+                       "--out-attention", tmp_path / "a.tf") == 2
 
 
 class TestReweightCommand:

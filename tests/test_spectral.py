@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiara import ValidationError, dft, dstft, make_window, pad_periodic, spectrogram
-from tiara.spectral import WINDOW_KINDS
+from tiara.spectral import WINDOW_KINDS, dstft_bins
 
 from oracles import naive_dft, naive_dstft
 
@@ -77,6 +77,23 @@ class TestDstft:
             for k in range(32):
                 expected = naive_dstft(list(x), coeffs, m, k)
                 assert abs(dstft(x, w, m, k) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_stacked_signals_match_single_calls(self):
+        # each signal gets the same bits whatever is stacked beside it,
+        # down to a single frequency bin
+        rng = np.random.default_rng(7)
+        for n in (3, 10, 21, 67):
+            for kind, length in [("rectangular", 1), ("hann", 4), ("blackman", 8), ("gaussian", 11)]:
+                w = make_window(kind, length)
+                x = rng.standard_normal((3, n))
+                m = rng.integers(-n, 2 * n, size=3)
+                for ks in (np.arange(n // 2 + 1), np.array([n // 2])):
+                    stacked = dstft_bins(x, w, m, ks)
+                    for s in range(3):
+                        assert np.array_equal(stacked[s], dstft_bins(x[s], w, int(m[s]), ks))
+                    shifts = dstft_bins(x[0], w, np.arange(n), ks)
+                    for tau in range(n):
+                        assert np.array_equal(shifts[tau], dstft_bins(x[0], w, tau, ks))
 
     def test_conjugate_symmetry_for_real_input(self):
         rng = np.random.default_rng(4)
