@@ -59,7 +59,9 @@ def as_logits(scores) -> np.ndarray:
 def softmax_rows(logits) -> np.ndarray:
     """Softmax over the last axis with max-subtraction for stability."""
     scores = np.asarray(logits, dtype=float)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    # a fully masked (all -inf) row comes out NaN, for the caller to reject
+    with np.errstate(invalid="ignore"):
+        shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -85,9 +85,14 @@ def cmd_reweight(args) -> int:
     return EXIT_OK
 
 
-def _squeeze_instance(array, rank: int, name: str) -> np.ndarray:
-    if array.ndim == rank + 2 and array.shape[0] == 1 and array.shape[1] == 1:
+def _read_instance(path, rank: int, name: str) -> np.ndarray:
+    """One location of a field file: logits (N, N) or (1, 1, N, N), values
+    (N,), (N, 1) or (1, 1, N, 1)."""
+    array = read_tensor(path)
+    if array.ndim == 4 and array.shape[:2] == (1, 1):
         array = array[0, 0]
+    if rank == 1 and array.ndim == 2 and array.shape[1] == 1:
+        array = array[:, 0]
     if array.ndim != rank:
         raise ValidationError(f"{name} must have rank {rank} (or a 1x1 spatial field), "
                               f"got shape {array.shape}")
@@ -101,16 +106,8 @@ def cmd_verify_theorem(args) -> int:
     if args.logits or args.values:
         if not (args.logits and args.values):
             raise ValidationError("--logits and --values must be given together")
-        logits = _squeeze_instance(read_tensor(args.logits), 2, "logits")
-        # values may arrive as (N,), (N, 1) or (1, 1, N, 1)
-        raw = read_tensor(args.values)
-        if raw.ndim == 4 and raw.shape[0] == raw.shape[1] == 1:
-            raw = raw[0, 0]
-        if raw.ndim == 2 and raw.shape[1] == 1:
-            raw = raw[:, 0]
-        if raw.ndim != 1:
-            raise ValidationError(f"values must be a vector, got shape {raw.shape}")
-        instances = [(logits, raw)]
+        instances = [(_read_instance(args.logits, 2, "logits"),
+                      _read_instance(args.values, 1, "values"))]
     else:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         instances = []
@@ -178,15 +175,10 @@ def cmd_blend(args) -> int:
     embedding_table = read_tensor(args.embeddings)
     embedded = embed_aligned(align(prompts), embedding_table)
     schedule = make_schedule(spans, (config.t1, config.t2), config.layer_threshold)
-    if args.dump_all:
-        stack = np.stack([conditioning(schedule, embedded, n, args.timestep, args.layer)
-                          for n in range(schedule.total_frames)])
-        write_tensor(args.output, stack)
-    else:
-        if args.frame is None:
-            raise ValidationError("either --frame or --dump-all is required")
-        matrix = conditioning(schedule, embedded, args.frame, args.timestep, args.layer)
-        write_tensor(args.output, matrix)
+    frames = np.arange(schedule.total_frames) if args.dump_all else args.frame
+    if frames is None:
+        raise ValidationError("either --frame or --dump-all is required")
+    write_tensor(args.output, conditioning(schedule, embedded, frames, args.timestep, args.layer))
     return EXIT_OK
 
 

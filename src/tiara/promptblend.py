@@ -9,7 +9,6 @@ Tokenisation and embedding are plain lookup tables supplied as data; no
 text model is involved.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,16 +180,19 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
                          total_frames=segments[-1][1])
 
 
-def interpolation_weight(n: int, n_end: int, next_start: int) -> float:
-    """Linear position of frame n inside the transition (n_end, next_start)."""
+def interpolation_weight(n, n_end: int, next_start: int):
+    """Linear position of frame n, or of each frame in an integer array n,
+    inside the transition (n_end, next_start)."""
     if next_start <= n_end:
         raise ValidationError(f"next span start {next_start} must exceed span end {n_end}")
-    if not n_end <= n <= next_start:
-        raise ValidationError(f"frame {n} outside transition window [{n_end}, {next_start}]")
-    return (n - n_end) / (next_start - n_end)
+    frames = np.asarray(n)
+    bad = frames[~((n_end <= frames) & (frames <= next_start))]
+    if bad.size:
+        raise ValidationError(f"frame {bad[0]} outside transition window [{n_end}, {next_start}]")
+    return (frames - n_end) / (next_start - n_end)
 
 
-def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n: int, t: float,
+def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
                  d: int) -> np.ndarray:
     """Text-conditioning matrix for frame n at denoising step t, layer d.
 
@@ -199,7 +201,8 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n: int, t: float
     entrywise with weight a_n when t lies in the configured window or
     d reaches the layer threshold; otherwise the earlier prompt is kept.
     From the start of span i+1 onward the later prompt takes over.  Frames
-    before the first span use the first prompt.
+    before the first span use the first prompt.  One frame n gives a fresh
+    (L, d) matrix; an integer array of frames gives ``n.shape + (L, d)``.
     """
     embedded = np.asarray(embedded, dtype=float)
     if embedded.ndim != 3:
@@ -207,18 +210,19 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n: int, t: float
     if embedded.shape[0] != len(schedule.segments):
         raise ValidationError(
             f"{embedded.shape[0]} embedded prompts but {len(schedule.segments)} spans")
-    if not 0 <= n < schedule.total_frames:
-        raise ValidationError(f"frame {n} out of range [0, {schedule.total_frames})")
+    frames = np.asarray(n)
+    bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
+    if bad.size:
+        raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
     starts = [s for s, _ in schedule.segments]
-    i = bisect_right(starts, n) - 1
-    if i < 0:
-        return embedded[0].copy()
-    s_i, e_i = schedule.segments[i]
-    if n <= e_i or i == len(schedule.segments) - 1:
-        return embedded[i].copy()
-    next_start = schedule.segments[i + 1][0]
+    owner = np.maximum(np.searchsorted(starts, frames, side="right") - 1, 0)
+    # take() copies even for a 0-d index, so a single frame never aliases embedded
+    out = np.take(embedded, owner, axis=0)
     t1, t2 = schedule.t_window
     if t1 <= t <= t2 or d >= schedule.layer_threshold:
-        a_n = interpolation_weight(n, e_i, next_start)
-        return (1.0 - a_n) * embedded[i] + a_n * embedded[i + 1]
-    return embedded[i].copy()
+        transitions = zip(schedule.segments, schedule.segments[1:])
+        for i, ((_, end), (next_start, _)) in enumerate(transitions):
+            inside = (frames > end) & (frames < next_start)
+            a = interpolation_weight(frames[inside], end, next_start)[:, None, None]
+            out[inside] = (1.0 - a) * embedded[i] + a * embedded[i + 1]
+    return out

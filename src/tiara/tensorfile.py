@@ -23,14 +23,13 @@ def write_tensor(path, array) -> None:
         raise ValidationError(f"tensor rank must be in [1, {MAX_RANK}], got {array.ndim}")
     header = _HEAD.pack(MAGIC, VERSION, array.ndim)
     dims = struct.pack(f"<{array.ndim}Q", *array.shape)
-    payload = array.tobytes(order="C")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(prefix=".tiara-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(header)
             handle.write(dims)
-            handle.write(payload)
+            handle.write(np.ascontiguousarray(array))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -190,13 +190,14 @@ def require_feasible(instance: TheoremInstance) -> None:
 
 def verify_theorem(instance: TheoremInstance) -> TheoremReport:
     """Build alpha from the closed form, reweight with a purely diagonal
-    penalty, and compare per-shift inconsistency errors.
+    penalty, and compare per-shift inconsistency errors.  The instance must
+    be feasible (``require_feasible``); ``alpha_from_closed_form`` rejects
+    one that is not before any work is done.
 
     Shifts where E(x, tau) falls below 1e-12 are skipped in the ratio; if
     every shift is skipped the instance has no inconsistency to reduce and
     the run is rejected.
     """
-    require_feasible(instance)
     a = instance.attention
     n = a.shape[0]
     alpha = alpha_from_closed_form(instance.kappa_hat, instance.eta, instance.a_min)

@@ -27,6 +27,16 @@ class TestTensorFile:
         write_tensor(path, back)
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("layout", ["transposed", "big_endian"])
+    def test_layout_and_byte_order_do_not_change_the_bytes(self, tmp_path, layout):
+        array = np.random.default_rng(72).standard_normal((3, 5))
+        variant = array.T if layout == "transposed" else array.astype(">f8")
+        c_order = np.ascontiguousarray(variant, dtype="<f8")
+        path = tmp_path / "a.tf"
+        write_tensor(path, variant)
+        assert path.read_bytes() == (struct.pack("<4sII", b"TIAR", 1, 2)
+                                     + struct.pack("<2Q", *c_order.shape) + c_order.tobytes())
+
     def test_rank_limit_on_write(self, tmp_path):
         with pytest.raises(ValidationError, match="rank"):
             write_tensor(tmp_path / "bad.tf", np.zeros((1, 1, 1, 1, 1)))
@@ -307,6 +317,29 @@ class TestVerifyTheoremCommand:
         assert run_cli("verify-theorem", "--logits", lp, "--values", vp,
                        "--report", report) == 0
         assert "PASS n=32" in report.read_text()
+
+    @pytest.mark.parametrize("logits_shape, values_shape, code", [
+        ((32, 32), (32,), 0),
+        ((1, 1, 32, 32), (32,), 0),
+        ((32, 32), (32, 1), 0),
+        ((32, 32), (1, 1, 32, 1), 0),
+        ((1, 32, 32), (32,), 2),
+        ((2, 1, 32, 32), (32,), 2),
+        ((32, 32), (32, 2), 2),
+        ((32, 32), (1, 1, 32), 2),
+    ])
+    def test_explicit_instance_shapes(self, tmp_path, logits_shape, values_shape, code):
+        logits = gen_homogeneous_attention(32, 1.0)
+        values = gen_inconsistent_values(32, 1.0, 1e-4, 0)
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, np.broadcast_to(logits, logits_shape))
+        write_tensor(vp, np.broadcast_to(values.reshape(-1, 1), (32, 2))
+                     if values_shape == (32, 2) else values.reshape(values_shape))
+        report = tmp_path / "report.txt"
+        assert run_cli("verify-theorem", "--logits", lp, "--values", vp,
+                       "--report", report) == code
+        if code == 0:
+            assert "PASS n=32" in report.read_text()
 
     def test_stdout_report(self, capsys):
         assert run_cli("verify-theorem", "--sizes", "32") == 0

@@ -238,3 +238,55 @@ class TestConditioning:
         schedule, _ = blend_setup
         with pytest.raises(ValidationError, match="spans"):
             conditioning(schedule, np.zeros((3, 6, 4)), 0, 0.0, 0)
+
+
+class TestConditioningFrameArrays:
+    """An array of frames gives the stack of the single-frame results."""
+
+    @pytest.fixture
+    def three_spans(self):
+        rng = np.random.default_rng(63)
+        embedded = rng.standard_normal((3, 4, 5))
+        embedded[1, 2, 3] = np.inf  # span frames must copy it, not turn it into NaN
+        schedule = make_schedule([(7, 20), (31, 45), (52, 80)], (0.5, 1.0), 6)
+        return schedule, embedded
+
+    @pytest.mark.parametrize("t, d", [(0.8, 0), (0.1, 6), (0.1, 5)],
+                             ids=["in_window", "layer_threshold", "neither"])
+    def test_matches_per_frame_calls_bit_for_bit(self, three_spans, t, d):
+        schedule, embedded = three_spans
+        frames = np.arange(schedule.total_frames)
+        got = conditioning(schedule, embedded, frames, t, d)
+        want = np.stack([conditioning(schedule, embedded, int(n), t, d) for n in frames])
+        assert got.shape == (80, 4, 5)
+        assert got.tobytes() == want.tobytes()
+        # frames 0..6, before the first span, belong to prompt 0 as well
+        for i, first, last in [(0, 0, 20), (1, 31, 45), (2, 52, 79)]:
+            for frame in got[first:last + 1]:
+                assert frame.tobytes() == embedded[i].tobytes()
+
+    def test_frame_grid_keeps_its_shape(self, three_spans):
+        schedule, embedded = three_spans
+        frames = np.array([[0, 25], [50, 79]])
+        got = conditioning(schedule, embedded, frames, 0.8, 0)
+        assert got.shape == (2, 2, 4, 5)
+        assert got[1, 1].tobytes() == conditioning(schedule, embedded, 79, 0.8, 0).tobytes()
+
+    @pytest.mark.parametrize("n, t", [(3, 0.8), (10, 0.8), (25, 0.1)])
+    def test_single_frame_result_does_not_alias_embedded(self, three_spans, n, t):
+        schedule, embedded = three_spans
+        before = embedded.copy()
+        conditioning(schedule, embedded, n, t, 0)[...] = 0.0
+        assert embedded.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [80, -1])
+    def test_out_of_range_frame_in_array_is_named(self, three_spans, bad):
+        schedule, embedded = three_spans
+        with pytest.raises(ValidationError, match=f"frame {bad} out of range"):
+            conditioning(schedule, embedded, np.array([0, 12, bad, 40]), 0.8, 0)
+
+    def test_interpolation_weight_on_frame_array(self):
+        frames = np.array([10, 15, 20])
+        assert np.array_equal(interpolation_weight(frames, 10, 20), [0.0, 0.5, 1.0])
+        with pytest.raises(ValidationError, match="frame 9 outside"):
+            interpolation_weight(np.array([12, 9]), 10, 20)
