@@ -6,6 +6,7 @@ defaults.  All commands are deterministic given inputs, config, and seed.
 """
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import TensorFileError, ValidationError
 from .promptblend import (TokenTable, align, conditioning, embed_aligned,
                           make_schedule, parse_organized)
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import Blocks, read_tensor, write_tensor
 from .verifier import (format_report, gen_homogeneous_attention,
                        gen_inconsistent_values, make_instance, require_feasible,
                        verify_theorem)
@@ -25,6 +26,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THEOREM = 3
 EXIT_IO = 4
+
+# Output held in memory by blend --dump-all: whole frames, at least one.
+_DUMP_BLOCK_BYTES = 1 << 20
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -57,12 +61,16 @@ def cmd_analyze(args) -> int:
     profile = motion_profile(softmax_rows(logits), config.window(), config.phi1, config.phi2)
     write_tensor(args.output, profile.rho)
     if args.spectrogram:
-        spectra = profile.spectra
-        lines = [f"{hi},{wi},{i},{k},{magnitude!r}" for (hi, wi, i, k), magnitude
-                 in zip(np.ndindex(spectra.shape), spectra.ravel().tolist())]
+        h, w, n, bins = profile.spectra.shape
+        row_keys = [f"{i},{k}," for i, k in itertools.product(range(n), range(bins))]
         with open(args.spectrogram, "w", encoding="utf-8") as handle:
             handle.write("h,w,i,k,magnitude\n")
-            handle.write("\n".join(lines) + "\n")
+            # one (h, w) location at a time; repr keeps every digit of a magnitude
+            for (hi, wi), location in zip(itertools.product(range(h), range(w)),
+                                          profile.spectra.reshape(h * w, n * bins)):
+                prefix = f"{hi},{wi},"
+                handle.write("".join([f"{prefix}{key}{magnitude!r}\n" for key, magnitude
+                                      in zip(row_keys, location.tolist())]))
     return EXIT_OK
 
 
@@ -175,11 +183,31 @@ def cmd_blend(args) -> int:
     embedding_table = read_tensor(args.embeddings)
     embedded = embed_aligned(align(prompts), embedding_table)
     schedule = make_schedule(spans, (config.t1, config.t2), config.layer_threshold)
-    frames = np.arange(schedule.total_frames) if args.dump_all else args.frame
-    if frames is None:
+    if args.dump_all:
+        tensor = _all_frames(schedule, embedded, args.timestep, args.layer)
+    elif args.frame is not None:
+        tensor = conditioning(schedule, embedded, args.frame, args.timestep, args.layer)
+    else:
         raise ValidationError("either --frame or --dump-all is required")
-    write_tensor(args.output, conditioning(schedule, embedded, frames, args.timestep, args.layer))
+    write_tensor(args.output, tensor)
     return EXIT_OK
+
+
+def _all_frames(schedule, embedded, t: float, d: int) -> Blocks:
+    """Every frame's conditioning as one (frames, L, d) tensor, computed a
+    block of frames at a time as it is written, so memory does not grow with
+    the frame count.  The block buffer is reused: a fresh array per block
+    pays its page faults again each time."""
+    total, frame_shape = schedule.total_frames, embedded.shape[1:]
+    per_block = max(1, _DUMP_BLOCK_BYTES // max(1, embedded[0].nbytes))
+    block = np.empty((min(per_block, total),) + frame_shape)
+
+    def blocks():
+        for start in range(0, total, per_block):
+            frames = np.arange(start, min(start + per_block, total))
+            yield conditioning(schedule, embedded, frames, t, d, out=block[:len(frames)])
+
+    return Blocks((total,) + frame_shape, blocks())
 
 
 def cmd_synth(args) -> int:

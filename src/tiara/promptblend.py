@@ -193,7 +193,7 @@ def interpolation_weight(n, n_end: int, next_start: int):
 
 
 def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
-                 d: int) -> np.ndarray:
+                 d: int, *, out=None) -> np.ndarray:
     """Text-conditioning matrix for frame n at denoising step t, layer d.
 
     Inside span i the i-th embedded prompt is returned unchanged.  In the
@@ -203,6 +203,8 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     From the start of span i+1 onward the later prompt takes over.  Frames
     before the first span use the first prompt.  One frame n gives a fresh
     (L, d) matrix; an integer array of frames gives ``n.shape + (L, d)``.
+    With ``out``, a float64 array of that shape, the result is written
+    into it and ``out`` is returned.
     """
     embedded = np.asarray(embedded, dtype=float)
     if embedded.ndim != 3:
@@ -214,15 +216,24 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
+    if out is not None:
+        shape = frames.shape + embedded.shape[1:]
+        if out.shape != shape or out.dtype != np.float64:
+            raise ValidationError(f"out must be a float64 array of shape {shape}, "
+                                  f"got {out.dtype} of shape {out.shape}")
     starts = [s for s, _ in schedule.segments]
     owner = np.maximum(np.searchsorted(starts, frames, side="right") - 1, 0)
-    # take() copies even for a 0-d index, so a single frame never aliases embedded
-    out = np.take(embedded, owner, axis=0)
+    # take() copies even for a 0-d index, so a single frame never aliases embedded;
+    # every owner is in range, and mode="clip" fills out directly where "raise"
+    # would gather into a temporary first
+    out = np.take(embedded, owner, axis=0, out=out, mode="clip")
     t1, t2 = schedule.t_window
     if t1 <= t <= t2 or d >= schedule.layer_threshold:
         transitions = zip(schedule.segments, schedule.segments[1:])
         for i, ((_, end), (next_start, _)) in enumerate(transitions):
             inside = (frames > end) & (frames < next_start)
+            if not inside.any():
+                continue
             a = interpolation_weight(frames[inside], end, next_start)[:, None, None]
             out[inside] = (1.0 - a) * embedded[i] + a * embedded[i + 1]
     return out

@@ -1,15 +1,19 @@
 """Tests for the tensor container, configuration loading, and the CLI."""
 
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tiara import (ConfigError, TensorFileError, ValidationError, make_window,
-                   motion_intensity, read_tensor, softmax_rows, tiara,
-                   write_tensor)
+from tiara import (ConfigError, TensorFileError, ValidationError, cli, conditioning,
+                   make_schedule, make_window, motion_intensity, motion_profile,
+                   read_tensor, softmax_rows, tensorfile, tiara, write_tensor)
 from tiara.cli import _resolve_config, build_parser, main
 from tiara.config import Config, load_config
+from tiara.tensorfile import Blocks
 from tiara.verifier import gen_homogeneous_attention, gen_inconsistent_values
 
 
@@ -72,6 +76,77 @@ class TestTensorFile:
         with pytest.raises(TensorFileError) as excinfo:
             read_tensor(path)
         assert excinfo.value.offset == 2
+
+    def test_length_checked_before_the_payload_is_allocated(self, tmp_path):
+        path = tmp_path / "bad.tf"
+        path.write_bytes(struct.pack("<4sII", b"TIAR", 1, 1) + struct.pack("<Q", 2**60))
+        with pytest.raises(TensorFileError, match="mismatch") as excinfo:
+            read_tensor(path)
+        assert excinfo.value.offset == 20
+
+    def test_short_read_is_an_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.tf"
+        path.write_bytes(struct.pack("<4sII", b"TIAR", 1, 1) + struct.pack("<Q", 3)
+                         + b"\x00" * 16)
+        fstat = os.fstat
+
+        def stale_fstat(fd):
+            # the file loses its last value between the size check and the read
+            real = fstat(fd)
+            return SimpleNamespace(st_mode=real.st_mode, st_size=real.st_size + 8)
+
+        monkeypatch.setattr(tensorfile.os, "fstat", stale_fstat)
+        with pytest.raises(TensorFileError, match="short read: 16 of 24") as excinfo:
+            read_tensor(path)
+        assert excinfo.value.offset == 36
+
+    def test_pipe_is_rejected_as_not_a_regular_file(self, tmp_path):
+        path = tmp_path / "a.tf"
+        write_tensor(path, np.zeros(3))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            with pytest.raises(TensorFileError, match="not a regular file") as excinfo:
+                read_tensor(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert excinfo.value.offset == 0
+
+    @pytest.mark.parametrize("blocks", [[np.zeros((2, 3))],
+                                        [np.zeros((3, 3)), np.zeros((1, 3))],
+                                        [np.zeros((2, 3)), "raise"]],
+                             ids=["shortfall", "overrun", "exception"])
+    def test_failed_write_leaves_destination_and_no_temp_file(self, tmp_path, blocks):
+        def produce():
+            for block in blocks:
+                if isinstance(block, str):
+                    raise RuntimeError("producer failed")
+                yield block
+
+        path = tmp_path / "a.tf"
+        path.write_bytes(b"previous contents")
+        with pytest.raises((ValidationError, RuntimeError)):
+            write_tensor(path, Blocks((3, 3), produce()))
+        assert path.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tf"]
+
+    def test_blocks_give_the_bytes_of_one_write(self, tmp_path):
+        array = np.random.default_rng(74).standard_normal((5, 2, 3))
+        write_tensor(tmp_path / "one.tf", array)
+        write_tensor(tmp_path / "blocks.tf",
+                     Blocks(array.shape, (array[:2], array[2:2], array[2:])))
+        assert (tmp_path / "blocks.tf").read_bytes() == (tmp_path / "one.tf").read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["umask_022", "umask_077", "umask_002"])
+    def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            write_tensor(tmp_path / "a.tf", np.zeros(3))
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "a.tf").stat().st_mode & 0o777 == mode
 
 
 class TestConfig:
@@ -197,6 +272,18 @@ class TestAnalyzeCommand:
         for line in lines[1:]:
             h, w, i, k, magnitude = line.split(",")
             assert float(magnitude) >= 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 6), (0, 2, 6, 6)], ids=["field", "empty"])
+    def test_spectrogram_rows_in_index_order(self, tmp_path, shape):
+        logits = np.random.default_rng(76).standard_normal(shape)
+        lp, cp = tmp_path / "l.tf", tmp_path / "spec.csv"
+        write_tensor(lp, logits)
+        assert run_cli("analyze", "--input", lp, "--output", tmp_path / "rho.tf",
+                       "--spectrogram", cp) == 0
+        spectra = motion_profile(softmax_rows(logits), make_window("blackman", 9)).spectra
+        rows = [f"{h},{w},{i},{k},{float(spectra[h, w, i, k])!r}\n"
+                for h, w, i, k in np.ndindex(spectra.shape)]
+        assert cp.read_text() == "h,w,i,k,magnitude\n" + "".join(rows)
 
     def test_wrong_rank_rejected(self, tmp_path):
         lp = tmp_path / "l.tf"
@@ -413,6 +500,42 @@ class TestBlendCommand:
         assert np.array_equal(stack[0], table[[0, 1, 2, 3, 4]])
         assert np.array_equal(stack[309], table[[5, 6, 7, 8, 9]])
 
+    FRAME_BYTES = 8 * 5 * 4
+
+    @pytest.mark.parametrize("spans, block_bytes", [
+        ("3 10\n17 30\n33 45\n", None),
+        ("3 10\n17 30\n33 45\n", 4 * FRAME_BYTES),
+        ("3 10\n17 30\n33 45\n", 7 * FRAME_BYTES + 5),
+        ("3 10\n17 30\n33 45\n", FRAME_BYTES - 1),
+        ("0 0\n", None),
+    ], ids=["one_block", "transition_split_across_blocks", "partial_last_block",
+            "frame_larger_than_block", "zero_frames"])
+    def test_dump_all_streamed_equals_one_call(self, tmp_path, monkeypatch, spans, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(cli, "_DUMP_BLOCK_BYTES", block_bytes)
+        count = spans.count("\n")
+        prompts, spans_path = tmp_path / "prompts.txt", tmp_path / "spans.txt"
+        prompts.write_text("".join(f"{a}${b}${c}${d}${e}\n" for a, b, c, d, e
+                                   in ["abcde", "fghij", "klmno"][:count]))
+        spans_path.write_text(spans)
+        tokens = tmp_path / "tokens.tsv"
+        tokens.write_text("".join(f"{c}\t{i}\n" for i, c in enumerate("abcdefghijklmno")))
+        table = np.random.default_rng(77).standard_normal((15, 4))
+        table[7, 2] = np.inf  # span frames of prompt 1 copy it; blends stay inf
+        embeddings = tmp_path / "emb.tf"
+        write_tensor(embeddings, table)
+        out = tmp_path / "cond.tf"
+        assert run_cli("blend", "--prompts", prompts, "--spans", spans_path,
+                       "--tokens", tokens, "--embeddings", embeddings, "--output", out,
+                       "--dump-all", "--timestep", 0.8, "--layer", 0) == 0
+        segments = [tuple(map(int, line.split())) for line in spans.splitlines()]
+        schedule = make_schedule(segments, (0.6, 1.0), 8)  # the config defaults
+        embedded = table[np.arange(5 * count).reshape(count, 5)]
+        write_tensor(tmp_path / "want.tf", conditioning(
+            schedule, embedded, np.arange(schedule.total_frames), 0.8, 0))
+        assert out.read_bytes() == (tmp_path / "want.tf").read_bytes()
+        assert read_tensor(out).shape == (schedule.total_frames, 5, 4)
+
     def test_parse_error_reports_line(self, tmp_path, blend_files, capsys):
         prompts, spans, tokens, embeddings, _ = blend_files
         prompts.write_text("a$b$c$d$e\nf$g$h\n")
@@ -431,6 +554,49 @@ class TestBlendCommand:
                        "--output", tmp_path / "cond.tf", "--frame", 0,
                        "--timestep", 0.5, "--layer", 0)
         assert code == 2
+
+
+class TestMemory:
+    """Traced Python and NumPy allocations stay well below the data size."""
+
+    def test_dump_all_holds_a_fraction_of_its_output(self, tmp_path):
+        words = [f"w{i}" for i in range(32)]
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("".join(
+            f"{' '.join(p[:4])}${' '.join(p[4:7])}${' '.join(p[7:9])}$"
+            f"{' '.join(p[9:12])}${' '.join(p[12:])}\n" for p in (words[:16], words[16:])))
+        spans = tmp_path / "spans.txt"
+        spans.write_text("0 100\n400 600\n")
+        tokens = tmp_path / "tokens.tsv"
+        tokens.write_text("".join(f"{w}\t{i}\n" for i, w in enumerate(words)))
+        embeddings = tmp_path / "emb.tf"
+        write_tensor(embeddings, np.random.default_rng(78).standard_normal((32, 256)))
+        out = tmp_path / "cond.tf"
+        tracemalloc.start()
+        try:
+            code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                           "--tokens", tokens, "--embeddings", embeddings, "--output", out,
+                           "--dump-all", "--timestep", 0.8, "--layer", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = 600 * 16 * 256 * 8
+        assert out.stat().st_size == 36 + payload
+        assert peak < payload / 4
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        array = np.random.default_rng(79).standard_normal((64, 128, 128))
+        path = tmp_path / "a.tf"
+        write_tensor(path, array)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, array)
+        assert peak < 1.25 * array.nbytes
 
 
 class TestExitCodes:

@@ -285,6 +285,21 @@ class TestConditioningFrameArrays:
         with pytest.raises(ValidationError, match=f"frame {bad} out of range"):
             conditioning(schedule, embedded, np.array([0, 12, bad, 40]), 0.8, 0)
 
+    @pytest.mark.parametrize("frames", [np.arange(80), np.arange(15, 40), np.array(33)],
+                             ids=["all", "across_transition", "single"])
+    @pytest.mark.parametrize("t, d", [(0.8, 0), (0.1, 5)], ids=["blend", "no_blend"])
+    def test_out_buffer_matches_allocating_call(self, three_spans, frames, t, d):
+        schedule, embedded = three_spans
+        out = np.full(frames.shape + (4, 5), np.nan)
+        assert conditioning(schedule, embedded, frames, t, d, out=out) is out
+        assert out.tobytes() == conditioning(schedule, embedded, frames, t, d).tobytes()
+
+    def test_out_buffer_of_wrong_shape_is_rejected(self, three_spans):
+        schedule, embedded = three_spans
+        wrong = r"shape \(4, 4, 5\), got float64 of shape \(3, 4, 5\)"
+        with pytest.raises(ValidationError, match=wrong):
+            conditioning(schedule, embedded, np.arange(4), 0.8, 0, out=np.empty((3, 4, 5)))
+
     def test_interpolation_weight_on_frame_array(self):
         frames = np.array([10, 15, 20])
         assert np.array_equal(interpolation_weight(frames, 10, 20), [0.0, 0.5, 1.0])
