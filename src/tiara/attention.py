@@ -59,6 +59,8 @@ def as_logits(scores) -> np.ndarray:
 def softmax_rows(logits) -> np.ndarray:
     """Softmax over the last axis with max-subtraction for stability."""
     scores = np.asarray(logits, dtype=float)
+    if scores.shape[-1:] == (0,):
+        raise ValidationError(f"softmax rows must have at least one frame, got shape {scores.shape}")
     # a fully masked (all -inf) row comes out NaN, for the caller to reject
     with np.errstate(invalid="ignore"):
         shifted = scores - scores.max(axis=-1, keepdims=True)

@@ -76,18 +76,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_reweight(args) -> int:
     config = _resolve_config(args)
-    logits = _require_field(read_tensor(args.logits), "logits field")
-    values = read_tensor(args.values)
-    if values.ndim != 4:
-        raise ValidationError(
-            f"values field must be rank 4 (H, W, N, d_v), got rank {values.ndim}")
-    if values.shape[:3] != logits.shape[:3]:
-        raise ValidationError(
-            f"shape mismatch: logits field {logits.shape} vs values field {values.shape}")
-    n = logits.shape[2]
-    result = tiara(logits, values, config.window(), config.phi1, config.phi2,
-                   alpha=config.alpha, corner_size=config.resolved_corner_size(n),
-                   corner_penalty=config.resolved_corner_penalty())
+    result = tiara(read_tensor(args.logits), read_tensor(args.values), config.window(),
+                   config.phi1, config.phi2, alpha=config.alpha,
+                   corner_size=config.corner_size, corner_penalty=config.corner_penalty)
     write_tensor(args.out_values, result.outputs)
     write_tensor(args.out_attention, result.attention)
     return EXIT_OK
@@ -117,9 +108,15 @@ def cmd_verify_theorem(args) -> int:
         instances = [(_read_instance(args.logits, 2, "logits"),
                       _read_instance(args.values, 1, "values"))]
     else:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = [token.strip() for token in args.sizes.split(",") if token.strip()]
+        if not sizes:
+            raise ValidationError(f"--sizes: no sizes given in {args.sizes!r}")
         instances = []
-        for n in sizes:
+        for token in sizes:
+            try:
+                n = int(token)
+            except ValueError:
+                raise ValidationError(f"--sizes: {token!r} is not an integer") from None
             logits = gen_homogeneous_attention(n, args.decay)
             values = gen_inconsistent_values(n, args.b_v, args.hf_amplitude, config.seed)
             instances.append((logits, values))

@@ -33,12 +33,6 @@ class Config:
     def window(self) -> Window:
         return make_window(self.window_kind, self.window_length)
 
-    def resolved_corner_size(self, n: int) -> int:
-        return n // 4 if self.corner_size is None else self.corner_size
-
-    def resolved_corner_penalty(self) -> float:
-        return self.alpha / 2.0 if self.corner_penalty is None else self.corner_penalty
-
 
 # Config-file key -> (Config field, parser), derived from the dataclass so
 # that the file keys and the CLI override flags (--field-name) cannot drift.

@@ -20,28 +20,33 @@ class InconsistencyReport:
     window: Window
 
 
-def _check_threshold(k_t, n: int) -> int:
+def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
+    """Magnitudes |T(x)| over k in [k_t, N//2]: one row per shift tau in
+    [0, N), or the single row of shift ``tau`` when it is given."""
+    x = as_signal(x)
+    n = len(x)
     if not isinstance(k_t, (int, np.integer)) or not 1 <= k_t <= n // 2:
         raise ValidationError(f"k_threshold must be an integer in [1, {n // 2}], got {k_t!r}")
-    return int(k_t)
+    taus = np.arange(n) if tau is None else int(tau)
+    return np.abs(dstft_bins(x, w, taus, np.arange(k_t, n // 2 + 1)))
+
+
+def separation(mag_x, mag_d, tol: float = KAPPA_TOLERANCE) -> float:
+    """Largest ratio mag_d / mag_x over the positions where mag_x >= tol,
+    or 0 if there are none (the bound is vacuous where x has no power)."""
+    keep = mag_x >= tol
+    return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0
 
 
 def inconsistency_error(x, w: Window, tau: int, k_t: int) -> float:
     """Sum of windowed-transform magnitudes over k in [k_t, N//2] at shift tau."""
-    x = as_signal(x)
-    k_t = _check_threshold(k_t, len(x))
-    ks = np.arange(k_t, len(x) // 2 + 1)
-    return float(np.abs(dstft_bins(x, w, int(tau), ks)).sum())
+    return float(high_band(x, w, k_t, tau).sum())
 
 
 def inconsistency_profile(x, w: Window, k_t: int) -> InconsistencyReport:
     """E(x, tau) for every shift tau in [0, N), from one batched transform."""
-    x = as_signal(x)
-    n = len(x)
-    k_t = _check_threshold(k_t, n)
-    ks = np.arange(k_t, n // 2 + 1)
-    per_tau = np.abs(dstft_bins(x, w, np.arange(n), ks)).sum(axis=-1)
-    return InconsistencyReport(per_tau=per_tau, k_threshold=k_t, window=w)
+    per_tau = high_band(x, w, k_t).sum(axis=-1)  # high_band has checked k_t
+    return InconsistencyReport(per_tau=per_tau, k_threshold=int(k_t), window=w)
 
 
 def dynamic_component(a) -> np.ndarray:
@@ -59,22 +64,14 @@ def estimate_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE) 
     """Worst-case high-band magnitude ratio |T(x_dyn)| / |T(x)|.
 
     The maximum runs over every shift tau in [0, N) and frequency
-    k in [k_t, N//2]; positions where |T(x)| < tol are skipped (the
-    separation bound is vacuous where x has no power).  Returns 0 if every
-    position is skipped.
+    k in [k_t, N//2]; positions where |T(x)| < tol are skipped (see
+    ``separation``).  Returns 0 if every position is skipped.
     """
     x = as_signal(x)
     x_dyn = as_signal(x_dyn)
     if len(x) != len(x_dyn):
         raise ValidationError("x and x_dyn must have the same length")
-    n = len(x)
-    k_t = _check_threshold(k_t, n)
-    ks = np.arange(k_t, n // 2 + 1)
-    taus = np.arange(n)
-    mag_x = np.abs(dstft_bins(x, w, taus, ks))
-    mag_d = np.abs(dstft_bins(x_dyn, w, taus, ks))
-    keep = mag_x >= tol
-    return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0
+    return separation(high_band(x, w, k_t), high_band(x_dyn, w, k_t), tol)
 
 
 def homogeneity_deviation(a) -> float:

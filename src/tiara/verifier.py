@@ -6,8 +6,11 @@ kappa-hat and the smallest diagonal entry directly on the instance, builds
 the reweighting coefficient alpha from the closed form that balances
 iota + kappa * lambda = eta, applies the purely diagonal penalty, and
 compares the per-shift inconsistency errors of the reweighted output
-against the original.  The guarantee is asymptotic, so a finite-size slack
-is added to eta: 0.05 for N >= 128 and 0.15 below.
+against the original.  Each of the four signals x, x_dyn, y and y_dyn is
+transformed once, into one high-band table.  One predicate decides
+feasibility for the instance flag, ``require_feasible`` and the closed
+form.  The guarantee is asymptotic, so a finite-size slack is added to
+eta: 0.05 for N >= 128 and 0.15 below.
 """
 
 from dataclasses import dataclass
@@ -16,8 +19,8 @@ from math import log
 import numpy as np
 
 from .attention import softmax_rows
-from .consistency import (dynamic_component, estimate_kappa,
-                          homogeneity_deviation, inconsistency_profile)
+from .consistency import (dynamic_component, high_band, homogeneity_deviation,
+                          separation)
 from .errors import ValidationError
 from .spectral import Window, as_square
 
@@ -47,32 +50,36 @@ def lambda_coef(alpha: float, a_min: float) -> float:
     return float((1.0 - q) / (1.0 - (1.0 - q) * a_min))
 
 
+def _violation(kappa: float, eta: float, a_min: float, name: str) -> str | None:
+    """The first feasibility inequality that (kappa, eta, a_min) violates,
+    worded with ``name`` for kappa, or None.  Given the last two checks,
+    1 - kappa - a_min * eta > 1 - eta > 0: the closed form's numerator is
+    positive whenever its denominator is."""
+    if kappa < 0.0:
+        return f"{name} must be >= 0, got {kappa}"
+    if not kappa < 1.0 - a_min:
+        return f"infeasible: {name} < 1 - a_min violated ({kappa} >= {1.0 - a_min})"
+    if not 0.0 <= a_min < 1.0:
+        return f"a_min must lie in [0, 1), got {a_min}"
+    if not eta < 1.0:
+        return f"infeasible: eta < 1 violated (eta = {eta})"
+    margin = eta * (1.0 - a_min) - kappa
+    if not margin > DENOMINATOR_FLOOR:
+        return (f"infeasible: eta >= {name} / (1 - a_min) violated "
+                f"(eta * (1 - a_min) - {name} = {margin}, must exceed {DENOMINATOR_FLOOR})")
+    return None
+
+
 def alpha_from_closed_form(kappa: float, eta: float, a_min: float) -> float:
     """The reweighting strength solving iota + kappa * lambda = eta.
 
     alpha = log((1 - kappa - a_min * eta) / (eta * (1 - a_min) - kappa)).
     Requires kappa < 1 - a_min, a_min in [0, 1), and
-    eta in [kappa / (1 - a_min), 1); each violated inequality is named.
+    eta in (kappa / (1 - a_min), 1); each violated inequality is named.
     """
-    if not 0.0 <= a_min < 1.0:
-        raise ValidationError(f"a_min must lie in [0, 1), got {a_min}")
-    if kappa < 0.0:
-        raise ValidationError(f"kappa must be >= 0, got {kappa}")
-    if not kappa < 1.0 - a_min:
-        raise ValidationError(
-            f"infeasible: kappa < 1 - a_min violated ({kappa} >= {1.0 - a_min})")
-    if not eta < 1.0:
-        raise ValidationError(f"infeasible: eta < 1 violated (eta = {eta})")
-    denominator = eta * (1.0 - a_min) - kappa
-    if denominator <= DENOMINATOR_FLOOR:
-        raise ValidationError(
-            "infeasible: eta * (1 - a_min) - kappa must exceed "
-            f"{DENOMINATOR_FLOOR} (eta below kappa / (1 - a_min); got {denominator})")
-    numerator = 1.0 - kappa - a_min * eta
-    if numerator <= 0.0:
-        raise ValidationError(
-            f"infeasible: 1 - kappa - a_min * eta must be > 0 (got {numerator})")
-    return log(numerator / denominator)
+    if violation := _violation(kappa, eta, a_min, "kappa"):
+        raise ValidationError(violation)
+    return log((1.0 - kappa - a_min * eta) / (eta * (1.0 - a_min) - kappa))
 
 
 def circular_distance(n: int) -> np.ndarray:
@@ -131,6 +138,7 @@ class TheoremInstance:
     a_min: float
     homogeneity_dev: float
     feasible: bool
+    e_x: np.ndarray  # E(x, tau) for every shift tau, x = attention @ values
 
 
 @dataclass(frozen=True)
@@ -153,8 +161,9 @@ class TheoremReport:
 
 
 def make_instance(attention, values, window: Window, k_t: int, eta: float) -> TheoremInstance:
-    """Measure kappa-hat, the smallest diagonal entry, and the homogeneity
-    deviation of an attention/values pair, and flag feasibility."""
+    """Measure kappa-hat, the smallest diagonal entry, the homogeneity
+    deviation and E(x, tau) of an attention/values pair, and flag
+    feasibility.  One high-band table of x gives kappa-hat and E(x, tau)."""
     a = as_square(attention, "attention")
     if np.any(a < 0.0) or np.any(a > 1.0):
         raise ValidationError("attention entries must lie in [0, 1]")
@@ -166,26 +175,20 @@ def make_instance(attention, values, window: Window, k_t: int, eta: float) -> Th
             f"values must be a vector of length {a.shape[0]}, got shape {v.shape}")
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"eta must lie in (0, 1), got {eta}")
-    x = a @ v
-    x_dyn = dynamic_component(a) @ v
-    kappa_hat = estimate_kappa(x, x_dyn, window, k_t)
+    mag_x = high_band(a @ v, window, k_t)
+    kappa_hat = separation(mag_x, high_band(dynamic_component(a) @ v, window, k_t))
     a_min = float(np.diag(a).min())
-    feasible = kappa_hat < 1.0 - a_min and eta >= kappa_hat / (1.0 - a_min)
     return TheoremInstance(attention=a, values=v, window=window, k_t=int(k_t), eta=float(eta),
                            kappa_hat=kappa_hat, a_min=a_min,
-                           homogeneity_dev=homogeneity_deviation(a), feasible=feasible)
+                           homogeneity_dev=homogeneity_deviation(a),
+                           feasible=_violation(kappa_hat, eta, a_min, "kappa_hat") is None,
+                           e_x=mag_x.sum(axis=-1))
 
 
 def require_feasible(instance: TheoremInstance) -> None:
     """Raise with the violated inequality when an instance is infeasible."""
-    if instance.kappa_hat >= 1.0 - instance.a_min:
-        raise ValidationError(
-            "infeasible: kappa_hat < 1 - a_min violated "
-            f"({instance.kappa_hat} >= {1.0 - instance.a_min})")
-    if instance.eta < instance.kappa_hat / (1.0 - instance.a_min):
-        raise ValidationError(
-            "infeasible: eta >= kappa_hat / (1 - a_min) violated "
-            f"({instance.eta} < {instance.kappa_hat / (1.0 - instance.a_min)})")
+    if violation := _violation(instance.kappa_hat, instance.eta, instance.a_min, "kappa_hat"):
+        raise ValidationError(violation)
 
 
 def verify_theorem(instance: TheoremInstance) -> TheoremReport:
@@ -194,15 +197,16 @@ def verify_theorem(instance: TheoremInstance) -> TheoremReport:
     be feasible (``require_feasible``); ``alpha_from_closed_form`` rejects
     one that is not before any work is done.
 
-    Shifts where E(x, tau) falls below 1e-12 are skipped in the ratio; if
-    every shift is skipped the instance has no inconsistency to reduce and
-    the run is rejected.
+    E(x, tau) is ``instance.e_x``; one high-band table of y gives E(y, tau)
+    and kappa_on_y.  Shifts where E(x, tau) falls below 1e-12 are skipped
+    in the ratio; if every shift is skipped the instance has no
+    inconsistency to reduce and the run is rejected.
     """
     a = instance.attention
     n = a.shape[0]
     alpha = alpha_from_closed_form(instance.kappa_hat, instance.eta, instance.a_min)
 
-    e_x = inconsistency_profile(a @ instance.values, instance.window, instance.k_t).per_tau
+    e_x = instance.e_x
     if e_x.max() < E_TOLERANCE:
         raise ValidationError(
             "Assumption 1 violated: every E(x, tau) is below tolerance; "
@@ -211,16 +215,16 @@ def verify_theorem(instance: TheoremInstance) -> TheoremReport:
     with np.errstate(divide="ignore"):
         log_a = np.log(a)
     a_y = softmax_rows(log_a - alpha * np.eye(n))
-    y = a_y @ instance.values
-    e_y = inconsistency_profile(y, instance.window, instance.k_t).per_tau
+    mag_y = high_band(a_y @ instance.values, instance.window, instance.k_t)
+    e_y = mag_y.sum(axis=-1)
 
     ratios = np.full(n, np.nan)
     kept = e_x >= E_TOLERANCE
     ratios[kept] = e_y[kept] / e_x[kept]
     max_ratio = float(np.nanmax(ratios))
     s = slack(n)
-    kappa_on_y = estimate_kappa(y, dynamic_component(a_y) @ instance.values,
-                                instance.window, instance.k_t)
+    kappa_on_y = separation(mag_y, high_band(dynamic_component(a_y) @ instance.values,
+                                             instance.window, instance.k_t))
     return TheoremReport(
         n=n, eta=instance.eta, k_t=instance.k_t, alpha=alpha,
         iota=iota(alpha, instance.a_min), lambda_coef=lambda_coef(alpha, instance.a_min),

@@ -28,6 +28,12 @@ class TestSoftmaxRows:
         assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-12
         assert np.allclose(got, naive_softmax(logits.tolist()), atol=1e-12)
 
+    def test_empty_frame_axis_rejected_with_its_shape(self):
+        with pytest.raises(ValidationError, match=r"at least one frame, got shape \(1, 1, 0, 0\)"):
+            softmax_rows(np.zeros((1, 1, 0, 0)))
+        # an empty stack of non-empty rows is fine
+        assert softmax_rows(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
 
 class TestReweightedAttention:
     def test_zero_penalty_is_plain_attention(self):

@@ -156,8 +156,6 @@ class TestConfig:
         assert config.window_kind == "blackman"
         assert config.window_length == 9
         assert config.k_threshold == 5
-        assert config.resolved_corner_size(16) == 4
-        assert config.resolved_corner_penalty() == 3.0
 
     def test_load_and_override(self, tmp_path):
         path = tmp_path / "tiara.cfg"
@@ -318,6 +316,41 @@ class TestInputPolicy:
                        "--out-attention", tmp_path / "a.tf") == 2
 
 
+class TestEmptyFrameAxis:
+    """A zero-length frame axis is rejected where rows are first softmaxed;
+    an empty stack of non-empty rows still runs."""
+
+    @pytest.mark.parametrize("command", ["analyze", "reweight", "verify-theorem"])
+    def test_rejected_with_its_shape(self, tmp_path, capsys, command):
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        out = tmp_path / "o.tf"
+        if command == "verify-theorem":
+            shape = (0, 0)
+            write_tensor(lp, np.zeros(shape))
+            write_tensor(vp, np.zeros(0))
+            argv = ("verify-theorem", "--logits", lp, "--values", vp, "--report", out)
+        else:
+            shape = (1, 1, 0, 0)
+            write_tensor(lp, np.zeros(shape))
+            write_tensor(vp, np.zeros((1, 1, 0, 3)))
+            argv = (("analyze", "--input", lp, "--output", out) if command == "analyze" else
+                    ("reweight", "--logits", lp, "--values", vp, "--out-values", out,
+                     "--out-attention", tmp_path / "a.tf"))
+        assert run_cli(*argv) == 2
+        assert f"got shape {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_field_of_frames_runs(self, tmp_path):
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, np.zeros((0, 2, 6, 6)))
+        write_tensor(vp, np.zeros((0, 2, 6, 3)))
+        assert run_cli("reweight", "--logits", lp, "--values", vp,
+                       "--out-values", tmp_path / "o.tf",
+                       "--out-attention", tmp_path / "a.tf") == 0
+        assert read_tensor(tmp_path / "o.tf").shape == (0, 2, 6, 3)
+        assert read_tensor(tmp_path / "a.tf").shape == (0, 2, 6, 6)
+
+
 class TestReweightCommand:
     def test_matches_library_pipeline(self, tmp_path):
         rng = np.random.default_rng(74)
@@ -380,6 +413,16 @@ class TestReweightCommand:
         err = capsys.readouterr().err
         assert "(1, 1, 8, 8)" in err and "(1, 1, 6, 1)" in err
 
+    def test_wrong_rank_values_name_both_shapes(self, tmp_path, capsys):
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, np.zeros((1, 1, 8, 8)))
+        write_tensor(vp, np.zeros((1, 1, 8)))
+        assert run_cli("reweight", "--logits", lp, "--values", vp,
+                       "--out-values", tmp_path / "o.tf",
+                       "--out-attention", tmp_path / "a.tf") == 2
+        err = capsys.readouterr().err
+        assert "(1, 1, 8, 8)" in err and "(1, 1, 8)" in err
+
 
 class TestVerifyTheoremCommand:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -427,6 +470,23 @@ class TestVerifyTheoremCommand:
                        "--report", report) == code
         if code == 0:
             assert "PASS n=32" in report.read_text()
+
+    @pytest.mark.parametrize("sizes, named", [
+        ("32,abc", "'abc' is not an integer"),
+        ("32,4.5", "'4.5' is not an integer"),
+        (",", "no sizes given"),
+        (" ", "no sizes given"),
+    ])
+    def test_bad_sizes_exit_validation(self, tmp_path, capsys, sizes, named):
+        report = tmp_path / "r.txt"
+        assert run_cli("verify-theorem", "--sizes", sizes, "--report", report) == 2
+        assert named in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_blank_sizes_are_skipped(self, tmp_path):
+        report = tmp_path / "r.txt"
+        assert run_cli("verify-theorem", "--sizes", " 32,, ", "--report", report) == 0
+        assert "PASS n=32" in report.read_text()
 
     def test_stdout_report(self, capsys):
         assert run_cli("verify-theorem", "--sizes", "32") == 0

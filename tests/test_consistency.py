@@ -7,6 +7,7 @@ import pytest
 from tiara import (ValidationError, dynamic_component, estimate_kappa,
                    homogeneity_deviation, inconsistency_error,
                    inconsistency_profile, make_window, softmax_rows)
+from tiara.consistency import high_band, separation
 
 from oracles import naive_dstft
 
@@ -67,6 +68,50 @@ class TestInconsistencyError:
         assert report.per_tau.shape == (10,)
         for tau in range(10):
             assert report.per_tau[tau] == inconsistency_error(x, w, tau, 2)
+
+
+class TestHighBand:
+    def test_rows_are_the_single_shifts(self):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal(11)
+        w = make_window("hann", 5)
+        table = high_band(x, w, 2)
+        assert table.shape == (11, 4)
+        for tau in range(11):
+            assert np.array_equal(table[tau], high_band(x, w, 2, tau))
+
+    def test_matches_brute_force_magnitudes(self):
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal(10)
+        w = make_window("blackman", 7)
+        coeffs = list(w.coefficients)
+        expected = [[abs(naive_dstft(list(x), coeffs, tau, k)) for k in range(3, 6)]
+                    for tau in range(10)]
+        assert np.allclose(high_band(x, w, 3), expected, rtol=0, atol=1e-12)
+
+    def test_profile_and_kappa_are_read_from_the_tables(self):
+        rng = np.random.default_rng(53)
+        x, x_dyn = rng.standard_normal(12), rng.standard_normal(12)
+        w = make_window("gaussian", 5)
+        assert np.array_equal(inconsistency_profile(x, w, 2).per_tau,
+                              high_band(x, w, 2).sum(axis=-1))
+        assert estimate_kappa(x, x_dyn, w, 2) == separation(high_band(x, w, 2),
+                                                            high_band(x_dyn, w, 2))
+
+    def test_threshold_validation(self):
+        with pytest.raises(ValidationError, match="k_threshold"):
+            high_band(np.ones(8), make_window("hann", 3), 5)
+
+
+class TestSeparation:
+    def test_skips_positions_below_tolerance(self):
+        mag_x = np.array([[1e-13, 2.0], [4.0, 0.5]])
+        mag_d = np.array([[9.0, 1.0], [1.0, 0.25]])
+        assert separation(mag_x, mag_d) == 0.5
+        assert separation(mag_x, mag_d, tol=1e-14) == 9.0 / 1e-13
+
+    def test_nothing_kept_is_zero(self):
+        assert separation(np.zeros((3, 2)), np.ones((3, 2))) == 0.0
 
 
 class TestDynamicComponent:

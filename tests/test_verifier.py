@@ -1,16 +1,18 @@
 """Tests for tiara.verifier: the closed-form coefficient, synthetic
 instance generators, and the inconsistency-reduction check."""
 
+import dataclasses
 from math import exp, log
 
 import numpy as np
 import pytest
 
-from tiara import (ValidationError, alpha_from_closed_form, format_report,
-                   gen_homogeneous_attention, gen_inconsistent_values,
-                   homogeneity_deviation, inconsistency_profile, iota,
-                   lambda_coef, make_instance, make_window, softmax_rows,
-                   verify_theorem)
+from tiara import (ValidationError, alpha_from_closed_form, dynamic_component,
+                   estimate_kappa, format_report, gen_homogeneous_attention,
+                   gen_inconsistent_values, homogeneity_deviation,
+                   inconsistency_profile, iota, lambda_coef, make_instance,
+                   make_window, softmax_rows, verify_theorem)
+from tiara import consistency
 from tiara.verifier import require_feasible, slack
 
 
@@ -188,3 +190,70 @@ class TestVerifyTheorem:
         assert "tau ratio" in text
         # header lines + one line per shift
         assert len(text.strip().splitlines()) == 15 + 32
+
+    def test_four_transforms_per_instance(self, monkeypatch):
+        # one high-band table each for x, x_dyn, y and y_dyn
+        calls = []
+        real = consistency.dstft_bins
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(consistency, "dstft_bins", counting)
+        verify_theorem(self._instance(32))
+        assert calls == [(32,)] * 4
+
+    def test_instance_tables_match_the_consistency_functions(self):
+        inst = self._instance(48)
+        x = inst.attention @ inst.values
+        x_dyn = dynamic_component(inst.attention) @ inst.values
+        assert np.array_equal(inst.e_x,
+                              inconsistency_profile(x, inst.window, inst.k_t).per_tau)
+        assert inst.kappa_hat == estimate_kappa(x, x_dyn, inst.window, inst.k_t)
+
+
+def _rejection(function, *args):
+    try:
+        function(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneFeasibilityRule:
+    """require_feasible and alpha_from_closed_form reject the same
+    (kappa, eta, a_min) points with the same words, kappa_hat for kappa."""
+
+    GRID = sorted({(kappa, eta, a_min)
+                   for kappa in (0.0, 0.1, 0.45, 0.5, 0.7, 0.9, 1.0)
+                   for eta in (0.05, 0.5, 0.9, 0.999, 1.0)
+                   for a_min in (0.0, 0.1, 0.3, 0.55, 1.0)}
+                  | {(0.45, 0.5, 0.1), (0.45, 0.45 / 0.9 + 1e-14, 0.1), (0.2, 0.8, -0.1)})
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        a = softmax_rows(gen_homogeneous_attention(32, 1.0))
+        v = gen_inconsistent_values(32, 1.0, 1e-4, 0)
+        return make_instance(a, v, make_window("blackman", 9), 5, 0.9)
+
+    def test_same_points_rejected_with_the_same_words(self, base):
+        rejected = 0
+        for kappa, eta, a_min in self.GRID:
+            inst = dataclasses.replace(base, kappa_hat=kappa, eta=eta, a_min=a_min)
+            by_instance = _rejection(require_feasible, inst)
+            by_closed_form = _rejection(alpha_from_closed_form, kappa, eta, a_min)
+            assert (by_closed_form or "").replace("kappa", "kappa_hat") == (by_instance or "")
+            rejected += by_instance is not None
+        assert 0 < rejected < len(self.GRID)
+
+    def test_eta_at_the_boundary_is_infeasible(self, base):
+        # eta = kappa / (1 - a_min) exactly leaves no room for the closed form
+        inst = dataclasses.replace(base, kappa_hat=0.45, eta=0.5, a_min=0.1)
+        for check, args in ((require_feasible, (inst,)),
+                            (alpha_from_closed_form, (0.45, 0.5, 0.1))):
+            with pytest.raises(ValidationError) as excinfo:
+                check(*args)
+            name = "kappa_hat" if check is require_feasible else "kappa"
+            assert f"eta >= {name} / (1 - a_min)" in str(excinfo.value)
+            assert f"eta * (1 - a_min) - {name}" in str(excinfo.value)
