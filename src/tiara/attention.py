@@ -49,22 +49,28 @@ class TiaraResult:
     rho: np.ndarray
 
 
-def as_logits(scores) -> np.ndarray:
-    scores = as_square(scores, "logits", stacked=True)
-    if not np.all(np.isfinite(scores)):
-        raise ValidationError("logits must be finite")
-    return scores
+def as_field(logits_field) -> np.ndarray:
+    """Float array of a logits field, shape (H, W, N, N)."""
+    field = np.asarray(logits_field, dtype=float)
+    if field.ndim != 4 or field.shape[2] != field.shape[3]:
+        raise ValidationError(f"logits field must have shape (H, W, N, N), got {field.shape}")
+    return field
 
 
 def softmax_rows(logits) -> np.ndarray:
-    """Softmax over the last axis with max-subtraction for stability."""
+    """Softmax over the last axis with max-subtraction for stability.  The
+    one rule for logit values: -inf masks an entry (weight exactly 0); a row
+    whose max is not finite (NaN, +inf, or all masked) is rejected."""
     scores = np.asarray(logits, dtype=float)
     if scores.shape[-1:] == (0,):
         raise ValidationError(f"softmax rows must have at least one frame, got shape {scores.shape}")
-    # a fully masked (all -inf) row comes out NaN, for the caller to reject
-    with np.errstate(invalid="ignore"):
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    peak = scores.max(axis=-1, keepdims=True)
+    if not np.isfinite(peak).all():
+        row = tuple(np.argwhere(~np.isfinite(peak))[0, :-1].tolist())
+        top = peak[row][0]
+        reason = "holds NaN" if np.isnan(top) else "holds +inf" if top > 0 else "is fully masked"
+        raise ValidationError(f"logits row {row} {reason}")
+    e = np.exp(scores - peak)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -76,7 +82,7 @@ def reweighted_attention(logits, penalty, values):
     penalty have shape (..., N, N) and values (..., N, d_v), or (N,) for a
     single map.  A zero penalty reproduces plain attention exactly.
     """
-    logits = as_logits(logits)
+    logits = as_square(logits, "logits", stacked=True)
     lam = penalty.matrix if isinstance(penalty, ReweightMatrix) else np.asarray(penalty, dtype=float)
     if lam.shape != logits.shape:
         raise ValidationError(f"penalty shape {lam.shape} does not match logits shape {logits.shape}")
@@ -85,6 +91,10 @@ def reweighted_attention(logits, penalty, values):
     if frames != logits.shape[:-1]:
         raise ValidationError(
             f"values shape {values.shape} does not match logits shape {logits.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValidationError("values must be finite; first non-finite entry at "
+                              f"index {tuple(np.argwhere(~finite)[0].tolist())}")
     attention = softmax_rows(logits + lam)
     return attention, attention @ values
 
@@ -119,7 +129,7 @@ def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int]:
     """Resolve the default band thresholds of an N-frame row and check them."""
     npad = n + 2 * window.half
     if phi1 is None:
-        phi1 = ceil(npad / 8)
+        phi1 = min(ceil(npad / 8), npad // 2)
     if phi2 is None:
         phi2 = npad // 2 + 1
     if not (isinstance(phi1, (int, np.integer)) and isinstance(phi2, (int, np.integer))):
@@ -144,9 +154,9 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
 
     The power ratio sum_{phi1 <= k < phi2} / sum_{k < phi2} is taken over
     the one-sided spectrum of the padded row (length Npad = N + 2*(L//2)),
-    so 0 <= phi1 < phi2 <= Npad//2 + 1.  Defaults: phi1 = ceil(Npad/8),
-    phi2 = Npad//2 + 1.  Rows with zero variation have no motion by
-    definition and return 0.0 exactly, as does a vanishing spectrum.
+    so 0 <= phi1 < phi2 <= Npad//2 + 1.  Defaults: phi2 = Npad//2 + 1 and
+    phi1 = min(ceil(Npad/8), Npad//2).  Rows with zero variation have no
+    motion by definition and return 0.0 exactly, as does a vanishing spectrum.
     """
     row = np.asarray(row, dtype=float)
     phi1, phi2 = _band(len(row), window, phi1, phi2)
@@ -208,10 +218,8 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     ``corner_size`` defaults to N//4 and ``corner_penalty`` to alpha/2.
     With alpha = 0 and corner_penalty = 0 the output equals plain attention.
     """
-    logits_field = np.asarray(logits_field, dtype=float)
+    logits_field = as_field(logits_field)
     values_field = np.asarray(values_field, dtype=float)
-    if logits_field.ndim != 4 or logits_field.shape[2] != logits_field.shape[3]:
-        raise ValidationError(f"logits field must have shape (H, W, N, N), got {logits_field.shape}")
     if values_field.ndim != 4 or values_field.shape[:3] != logits_field.shape[:3]:
         raise ValidationError(
             f"values field shape {values_field.shape} does not match logits field {logits_field.shape}")

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attention import motion_profile, softmax_rows, tiara
+from .attention import as_field, motion_profile, softmax_rows, tiara
 from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import TensorFileError, ValidationError
 from .promptblend import (TokenTable, align, conditioning, embed_aligned,
@@ -47,17 +47,9 @@ def _resolve_config(args) -> Config:
     return config
 
 
-def _require_field(array, name: str) -> np.ndarray:
-    if array.ndim != 4:
-        raise ValidationError(f"{name} must be a rank-4 tensor (H, W, N, N), got rank {array.ndim}")
-    if array.shape[2] != array.shape[3]:
-        raise ValidationError(f"{name} trailing dims must be square, got {array.shape}")
-    return array
-
-
 def cmd_analyze(args) -> int:
     config = _resolve_config(args)
-    logits = _require_field(read_tensor(args.input), "logits field")
+    logits = as_field(read_tensor(args.input))
     profile = motion_profile(softmax_rows(logits), config.window(), config.phi1, config.phi2)
     write_tensor(args.output, profile.rho)
     if args.spectrogram:

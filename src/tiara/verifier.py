@@ -165,7 +165,7 @@ def make_instance(attention, values, window: Window, k_t: int, eta: float) -> Th
     deviation and E(x, tau) of an attention/values pair, and flag
     feasibility.  One high-band table of x gives kappa-hat and E(x, tau)."""
     a = as_square(attention, "attention")
-    if np.any(a < 0.0) or np.any(a > 1.0):
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValidationError("attention entries must lie in [0, 1]")
     if np.abs(a.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValidationError("attention rows must sum to 1 within 1e-9")

@@ -34,6 +34,24 @@ class TestSoftmaxRows:
         # an empty stack of non-empty rows is fine
         assert softmax_rows(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
+    def test_masked_entries_get_zero_weight(self):
+        logits = np.array([[0.0, -np.inf, log(2.0)], [-np.inf, 1.0, -np.inf]])
+        got = softmax_rows(logits)
+        assert np.allclose(got, [[1 / 3, 0.0, 2 / 3], [0.0, 1.0, 0.0]], atol=1e-15)
+        assert got[0, 1] == 0.0 and got[1, 0] == 0.0 and got[1, 2] == 0.0
+
+    @pytest.mark.parametrize("entry, words", [
+        (np.nan, "holds NaN"), (np.inf, "holds \\+inf"), (None, "is fully masked")],
+        ids=["nan", "posinf", "fully_masked"])
+    def test_invalid_row_named(self, entry, words):
+        logits = np.zeros((2, 3, 4, 4))
+        if entry is None:
+            logits[1, 2, 3] = -np.inf
+        else:
+            logits[1, 2, 3, 0] = entry
+        with pytest.raises(ValidationError, match=rf"logits row \(1, 2, 3\) {words}$"):
+            softmax_rows(logits)
+
 
 class TestReweightedAttention:
     def test_zero_penalty_is_plain_attention(self):
@@ -43,6 +61,19 @@ class TestReweightedAttention:
         attention, out = reweighted_attention(logits, np.zeros((6, 6)), values)
         assert np.array_equal(attention, softmax_rows(logits))
         assert np.allclose(out, softmax_rows(logits) @ values, atol=1e-15)
+
+    def test_masked_logit_stays_masked(self):
+        logits = np.random.default_rng(23).standard_normal((5, 5))
+        logits[2, 4] = logits[0, 1] = -np.inf
+        attention, _ = reweighted_attention(logits, -2.0 * np.eye(5), np.zeros((5, 1)))
+        assert attention[2, 4] == 0.0 and attention[0, 1] == 0.0
+        assert np.abs(attention.sum(axis=1) - 1.0).max() < 1e-12
+
+    def test_non_finite_values_named(self):
+        values = np.zeros((2, 4, 3))
+        values[1, 2, 0] = np.inf
+        with pytest.raises(ValidationError, match=r"first non-finite entry at index \(1, 2, 0\)"):
+            reweighted_attention(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), values)
 
     def test_two_frame_uniform_logits(self):
         # uniform logits with -ln 2 on the diagonal: row 0 becomes [1/3, 2/3]

@@ -290,11 +290,13 @@ class TestAnalyzeCommand:
 
 
 class TestInputPolicy:
-    """analyze accepts masked (-inf) logits; a NaN or a fully masked row is
-    rejected.  reweight rejects all three."""
+    """One rule for logits, held by ``softmax_rows``, so analyze and
+    reweight agree: masked (-inf) entries are accepted and get attention
+    exactly 0; a row holding a NaN or a +inf, or fully masked, exits 2 and
+    is named (h, w, i).  Non-finite values are rejected by reweight."""
 
     @pytest.mark.parametrize("case, analyze_code", [
-        ("masked", 0), ("nan", 2), ("fully_masked", 2)])
+        ("masked", 0), ("nan", 2), ("posinf", 2), ("fully_masked", 2)])
     def test_non_finite_logits(self, tmp_path, case, analyze_code):
         rng = np.random.default_rng(78)
         logits = rng.standard_normal((1, 2, 6, 6))
@@ -302,6 +304,8 @@ class TestInputPolicy:
             logits[0, 1, 2, 4] = -np.inf
         elif case == "nan":
             logits[0, 0, 3, 1] = np.nan
+        elif case == "posinf":
+            logits[0, 0, 3, 1] = np.inf
         else:
             logits[0, 1, 5, :] = -np.inf
         lp, vp, rp = tmp_path / "l.tf", tmp_path / "v.tf", tmp_path / "rho.tf"
@@ -313,7 +317,88 @@ class TestInputPolicy:
             assert np.all(np.isfinite(rho)) and rho.min() >= 0.0 and rho.max() <= 1.0
         assert run_cli("reweight", "--logits", lp, "--values", vp,
                        "--out-values", tmp_path / "o.tf",
+                       "--out-attention", tmp_path / "a.tf") == analyze_code
+
+    @pytest.mark.parametrize("case, row, words", [
+        ("nan", (0, 0, 3), "holds NaN"), ("posinf", (1, 0, 2), "holds +inf"),
+        ("fully_masked", (0, 1, 5), "is fully masked")], ids=["nan", "posinf", "fully_masked"])
+    def test_rejected_row_is_named(self, tmp_path, capsys, case, row, words):
+        rng = np.random.default_rng(79)
+        logits = rng.standard_normal((2, 2, 6, 6))
+        if case == "fully_masked":
+            logits[row] = -np.inf
+        else:
+            logits[row + (1,)] = np.nan if case == "nan" else np.inf
+        lp, vp, out = tmp_path / "l.tf", tmp_path / "v.tf", tmp_path / "o.tf"
+        write_tensor(lp, logits)
+        write_tensor(vp, rng.standard_normal((2, 2, 6, 3)))
+        for argv in (("analyze", "--input", lp, "--output", out),
+                     ("reweight", "--logits", lp, "--values", vp, "--out-values", out,
+                      "--out-attention", tmp_path / "a.tf")):
+            assert run_cli(*argv) == 2
+            assert f"logits row {row} {words}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_masked_reweight_matches_reference(self, tmp_path):
+        from oracles import algorithm_reference
+        rng = np.random.default_rng(80)
+        logits = rng.standard_normal((2, 2, 8, 8))
+        mask = rng.random(logits.shape) < 0.3
+        mask[..., 0] = False  # every row keeps an unmasked entry
+        logits[mask] = -np.inf
+        values = rng.standard_normal((2, 2, 8, 2))
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, logits)
+        write_tensor(vp, values)
+        assert run_cli("reweight", "--logits", lp, "--values", vp,
+                       "--out-values", tmp_path / "o.tf",
+                       "--out-attention", tmp_path / "a.tf") == 0
+        attention = read_tensor(tmp_path / "a.tf")
+        assert np.all(attention[mask] == 0.0)
+        expected = algorithm_reference(logits.tolist(), values.tolist(),
+                                       list(make_window("blackman", 9).coefficients),
+                                       6.0, 2, 3.0)
+        assert np.max(np.abs(read_tensor(tmp_path / "o.tf") - np.array(expected))) <= 1e-10
+
+    def test_non_finite_values_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(81)
+        values = rng.standard_normal((1, 1, 6, 2))
+        values[0, 0, 4, 1] = np.nan
+        lp, vp, out = tmp_path / "l.tf", tmp_path / "v.tf", tmp_path / "o.tf"
+        write_tensor(lp, rng.standard_normal((1, 1, 6, 6)))
+        write_tensor(vp, values)
+        assert run_cli("reweight", "--logits", lp, "--values", vp, "--out-values", out,
                        "--out-attention", tmp_path / "a.tf") == 2
+        assert "values must be finite; first non-finite entry at index (0, 0, 4, 1)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_theorem_names_a_fully_masked_row(self, tmp_path, capsys):
+        logits = gen_homogeneous_attention(8, 1.0)
+        logits[3, :] = -np.inf
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, logits)
+        write_tensor(vp, gen_inconsistent_values(8, 1.0, 1e-4, 0))
+        assert run_cli("verify-theorem", "--logits", lp, "--values", vp) == 2
+        assert "logits row (3,) is fully masked" in capsys.readouterr().err
+
+
+class TestSingleFrame:
+    """N = 1 with a length-1 window: the padded row has length 1, and the
+    default band still resolves, so the lone frame has rho 0."""
+
+    def test_analyze_and_reweight_run(self, tmp_path):
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, np.full((1, 1, 1, 1), 0.5))
+        write_tensor(vp, np.full((1, 1, 1, 2), 3.0))
+        assert run_cli("analyze", "--input", lp, "--output", tmp_path / "rho.tf",
+                       "--window-length", 1) == 0
+        assert np.array_equal(read_tensor(tmp_path / "rho.tf"), np.zeros((1, 1, 1)))
+        assert run_cli("reweight", "--logits", lp, "--values", vp,
+                       "--out-values", tmp_path / "o.tf",
+                       "--out-attention", tmp_path / "a.tf", "--window-length", 1) == 0
+        assert np.array_equal(read_tensor(tmp_path / "a.tf"), np.ones((1, 1, 1, 1)))
+        assert np.array_equal(read_tensor(tmp_path / "o.tf"), np.full((1, 1, 1, 2), 3.0))
 
 
 class TestEmptyFrameAxis:

@@ -1,0 +1,115 @@
+"""Property tests: the reweighting pipeline against the plain-loop oracles,
+and frame-array blending against per-frame calls and a plain-loop blend.
+
+Examples are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tiara import conditioning, make_schedule, make_window, tiara
+from tiara.spectral import WINDOW_KINDS
+
+from oracles import algorithm_reference
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+@st.composite
+def fields(draw, scales):
+    """A (H, W, N, N) logits field with random -inf masks that leave every
+    row one unmasked entry, a values field, and pipeline parameters."""
+    h, w, n = draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = draw(scales) * rng.standard_normal((h, w, n, n))
+    mask = rng.random(logits.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    mask &= np.arange(n) != rng.integers(0, n, size=(h, w, n, 1))
+    logits[mask] = -np.inf
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), draw(st.integers(1, 13)))
+    return dict(logits=logits, mask=mask, values=rng.standard_normal((h, w, n, 2)),
+                window=window, alpha=draw(st.floats(0.0, 10.0)),
+                corner_size=draw(st.integers(0, n // 2)),
+                corner_penalty=draw(st.floats(0.0, 5.0)))
+
+
+def _run(case):
+    return tiara(case["logits"], case["values"], case["window"], alpha=case["alpha"],
+                 corner_size=case["corner_size"], corner_penalty=case["corner_penalty"])
+
+
+@PROPERTY
+@given(fields(st.floats(1e-3, 30.0)))
+def test_pipeline_matches_reference(case):
+    result = _run(case)
+    expected = np.zeros(result.outputs.shape)
+    if len(expected):  # the oracle needs H >= 1
+        expected = np.array(algorithm_reference(
+            case["logits"].tolist(), case["values"].tolist(), list(case["window"].coefficients),
+            case["alpha"], case["corner_size"], case["corner_penalty"]))
+    assert np.abs(result.outputs - expected).max(initial=0.0) <= 1e-10
+    assert np.all(result.attention[case["mask"]] == 0.0)
+
+
+@PROPERTY
+@given(fields(st.sampled_from([-1e3, 1e3])))
+def test_large_logits_keep_the_invariants(case):
+    # naive_softmax overflows at this scale, so only invariants are checked
+    result = _run(case)
+    assert np.all(np.isfinite(result.outputs))
+    assert np.abs(result.attention.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-12
+    assert np.all((result.rho >= 0.0) & (result.rho <= 1.0))
+    assert np.all(result.attention[case["mask"]] == 0.0)
+
+
+@st.composite
+def schedules(draw):
+    """Ordered, non-overlapping spans (possibly empty ones and gaps), a
+    timestep window, a layer threshold, and one embedded prompt per span."""
+    count = draw(st.integers(1, 4))
+    spans, start = [], draw(st.integers(0, 3))
+    for _ in range(count):
+        end = start + draw(st.integers(0, 5))
+        spans.append((start, end))
+        start = end + draw(st.integers(1, 6))
+    if spans[-1][1] == 0:
+        spans[-1] = (spans[-1][0], 1)
+    t1 = draw(st.floats(0.0, 1.0))
+    schedule = make_schedule(spans, (t1, draw(st.floats(t1, 1.0))), draw(st.integers(0, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    embedded = rng.standard_normal((count, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    frames = np.array(draw(st.lists(st.integers(0, schedule.total_frames - 1), max_size=12)),
+                      dtype=np.int64)
+    return schedule, embedded, frames, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 12))
+
+
+def _loop_blend(spans, t_window, layer_threshold, embedded, n, t, d):
+    """Conditioning of frame n written out with Python scalars."""
+    owner = 0
+    for i, (start, _) in enumerate(spans):
+        if start <= n:
+            owner = i
+    rows = embedded[owner].tolist()
+    blending = t_window[0] <= t <= t_window[1] or d >= layer_threshold
+    if blending and owner + 1 < len(spans):
+        end, next_start = spans[owner][1], spans[owner + 1][0]
+        if end < n < next_start:
+            a = (n - end) / (next_start - end)
+            later = embedded[owner + 1].tolist()
+            rows = [[(1.0 - a) * x + a * y for x, y in zip(row, other)]
+                    for row, other in zip(rows, later)]
+    return rows
+
+
+@PROPERTY
+@given(schedules())
+def test_frame_array_blend_matches_single_frames_and_loop(drawn):
+    schedule, embedded, frames, t, d = drawn
+    together = conditioning(schedule, embedded, frames, t, d)
+    assert together.shape == frames.shape + embedded.shape[1:]
+    for k, n in enumerate(frames.tolist()):
+        alone = conditioning(schedule, embedded, n, t, d)
+        assert np.array_equal(together[k], alone)
+        loop = _loop_blend(schedule.segments, schedule.t_window, schedule.layer_threshold,
+                           embedded, n, t, d)
+        assert np.array_equal(alone, np.array(loop))

@@ -175,6 +175,13 @@ class TestVerifyTheorem:
         with pytest.raises(ValidationError, match="eta >= kappa_hat / \\(1 - a_min\\)"):
             require_feasible(inst)
 
+    def test_nan_attention_rejected(self):
+        a = softmax_rows(gen_homogeneous_attention(8, 1.0))
+        a[3, 5] = np.nan
+        with pytest.raises(ValidationError, match=r"attention entries must lie in \[0, 1\]"):
+            make_instance(a, gen_inconsistent_values(8, 1.0, 1e-4, 0), make_window("blackman", 9),
+                          5, 0.9)
+
     def test_slack_schedule(self):
         assert slack(32) == 0.15
         assert slack(127) == 0.15
