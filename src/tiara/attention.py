@@ -80,12 +80,19 @@ def reweighted_attention(logits, penalty, values):
     Returns ``(attention, output)`` where ``attention`` is the row-softmax
     of ``logits + penalty`` and ``output = attention @ values``.  Logits and
     penalty have shape (..., N, N) and values (..., N, d_v), or (N,) for a
-    single map.  A zero penalty reproduces plain attention exactly.
+    single map.  Penalty entries must be <= 0 (-inf masks); a NaN or
+    positive entry is rejected.  A zero penalty reproduces plain attention
+    exactly.
     """
     logits = as_square(logits, "logits", stacked=True)
     lam = penalty.matrix if isinstance(penalty, ReweightMatrix) else np.asarray(penalty, dtype=float)
     if lam.shape != logits.shape:
         raise ValidationError(f"penalty shape {lam.shape} does not match logits shape {logits.shape}")
+    allowed = lam <= 0.0  # -inf masks an entry, like a -inf logit
+    if not allowed.all():
+        index = tuple(np.argwhere(~allowed)[0].tolist())
+        reason = "holds NaN" if np.isnan(lam[index]) else f"is positive ({float(lam[index])!r})"
+        raise ValidationError(f"penalty entry {index} {reason}")
     values = np.asarray(values, dtype=float)
     frames = values.shape if values.ndim == 1 else values.shape[:-1]
     if frames != logits.shape[:-1]:

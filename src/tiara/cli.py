@@ -9,12 +9,13 @@ import argparse
 import itertools
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
 from .attention import as_field, motion_profile, softmax_rows, tiara
 from .config import CONFIG_KEYS, Config, load_config, validate_config
-from .errors import TensorFileError, ValidationError
+from .errors import ConfigError, TensorFileError, ValidationError
 from .promptblend import (TokenTable, align, conditioning, embed_aligned,
                           make_schedule, parse_organized)
 from .tensorfile import Blocks, read_tensor, write_tensor
@@ -142,6 +143,8 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_blend(args) -> int:
     config = _resolve_config(args)
+    if not np.isfinite(args.timestep):
+        raise ConfigError(f"timestep must be finite, got {args.timestep}")
     with open(args.tokens, "r", encoding="utf-8") as handle:
         table = TokenTable.from_lines(handle)
     prompts = []
@@ -208,7 +211,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on the first call, then shared.
+    Parsing leaves it unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="tiara",
         description="Temporal-attention reweighting, spectral consistency checks, "
@@ -268,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TensorFileError as exc:

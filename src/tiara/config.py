@@ -8,6 +8,7 @@ band thresholds -> the padded-length defaults).
 """
 
 from dataclasses import dataclass, fields, replace
+from math import isfinite
 from typing import get_args
 
 from .errors import ConfigError
@@ -42,6 +43,10 @@ CONFIG_KEYS = {_FILE_ALIASES.get(f.name, f.name): (f.name, (get_args(f.type) or 
 
 
 def validate_config(config: Config) -> Config:
+    for name in ("alpha", "corner_penalty", "t1", "t2"):
+        value = getattr(config, name)
+        if value is not None and not isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if config.alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {config.alpha}")
     if config.corner_size is not None and config.corner_size < 0:

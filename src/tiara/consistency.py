@@ -10,6 +10,9 @@ from .spectral import Window, as_signal, as_square, dstft_bins
 
 KAPPA_TOLERANCE = 1e-12
 
+# Complex coefficients held at once by high_band: whole shifts, at least one.
+_HIGH_BAND_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class InconsistencyReport:
@@ -22,13 +25,24 @@ class InconsistencyReport:
 
 def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     """Magnitudes |T(x)| over k in [k_t, N//2]: one row per shift tau in
-    [0, N), or the single row of shift ``tau`` when it is given."""
+    [0, N), or the single row of shift ``tau`` when it is given.  The full
+    table is transformed a block of shifts at a time, each block's complex
+    coefficients within _HIGH_BAND_BLOCK_BYTES; every (shift, k) sum is
+    independent, so blocking does not change the bits."""
     x = as_signal(x)
     n = len(x)
     if not isinstance(k_t, (int, np.integer)) or not 1 <= k_t <= n // 2:
         raise ValidationError(f"k_threshold must be an integer in [1, {n // 2}], got {k_t!r}")
+    ks = np.arange(k_t, n // 2 + 1)
     taus = np.arange(n) if tau is None else int(tau)
-    return np.abs(dstft_bins(x, w, taus, np.arange(k_t, n // 2 + 1)))
+    per_block = max(1, _HIGH_BAND_BLOCK_BYTES // (16 * len(ks)))
+    if np.size(taus) <= per_block:  # one block: its own array, no table to fill
+        return np.abs(dstft_bins(x, w, taus, ks))
+    table = np.empty((n, len(ks)))
+    for start in range(0, n, per_block):
+        stop = min(start + per_block, n)
+        np.abs(dstft_bins(x, w, np.arange(start, stop), ks), out=table[start:stop])
+    return table
 
 
 def separation(mag_x, mag_d, tol: float = KAPPA_TOLERANCE) -> float:

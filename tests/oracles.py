@@ -90,13 +90,12 @@ def closed_form_rows(attention, alpha):
 def algorithm_reference(logits_field, values_field, coeffs, alpha, corner_size,
                         corner_penalty, phi1=None, phi2=None):
     """Straight-line reimplementation of the motion-adaptive reweighting
-    pipeline over an (H, W) field, for equivalence testing."""
-    h = len(logits_field)
-    w_dim = len(logits_field[0])
+    pipeline over an (H, W) field, for equivalence testing.  A field with
+    H = 0 gives an empty list."""
     outputs = []
-    for hi in range(h):
+    for hi in range(len(logits_field)):
         out_row = []
-        for wi in range(w_dim):
+        for wi in range(len(logits_field[hi])):
             logits = logits_field[hi][wi]
             values = values_field[hi][wi]
             n = len(logits)

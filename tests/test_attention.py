@@ -69,6 +69,20 @@ class TestReweightedAttention:
         assert attention[2, 4] == 0.0 and attention[0, 1] == 0.0
         assert np.abs(attention.sum(axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("entry, words", [(np.nan, "holds NaN"), (50.0, r"is positive \(50.0\)")])
+    def test_bad_penalty_entry_named(self, entry, words):
+        penalty = np.zeros((2, 4, 4))
+        penalty[1, 2, 1] = entry
+        with pytest.raises(ValidationError, match=rf"penalty entry \(1, 2, 1\) {words}"):
+            reweighted_attention(np.zeros((2, 4, 4)), penalty, np.zeros((2, 4, 1)))
+
+    def test_minus_inf_penalty_masks(self):
+        penalty = -np.eye(4)
+        penalty[2, 1] = -np.inf
+        attention, _ = reweighted_attention(np.zeros((4, 4)), penalty, np.zeros(4))
+        assert attention[2, 1] == 0.0
+        assert np.abs(attention.sum(axis=1) - 1.0).max() < 1e-12
+
     def test_non_finite_values_named(self):
         values = np.zeros((2, 4, 3))
         values[1, 2, 0] = np.inf

@@ -2,7 +2,10 @@
 
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,6 +197,23 @@ class TestConfig:
                                           "--out-values", "v.tf", flag, value])
         assert _resolve_config(args) == from_file
         assert from_file != Config()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["alpha", "corner_penalty", "t1", "t2"])
+    def test_non_finite_float_named(self, tmp_path, capsys, key, value):
+        path = tmp_path / "tiara.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            load_config(path)
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, np.zeros((1, 1, 4, 4)))
+        write_tensor(vp, np.zeros((1, 1, 4, 1)))
+        flag = "--" + key.replace("_", "-")
+        assert run_cli("reweight", "--logits", lp, "--values", vp, "--out-values",
+                       tmp_path / "y.tf", "--out-attention", tmp_path / "a.tf",
+                       f"{flag}={value}") == 2
+        assert capsys.readouterr().err == f"tiara: {key} must be finite, got {value}\n"
+        assert not (tmp_path / "y.tf").exists()
 
     def test_module_preconditions_enforced(self, tmp_path):
         path = tmp_path / "tiara.cfg"
@@ -691,6 +711,16 @@ class TestBlendCommand:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timestep", ["nan", "inf", "-inf"])
+    def test_non_finite_timestep_rejected(self, tmp_path, blend_files, capsys, timestep):
+        prompts, spans, tokens, embeddings, _ = blend_files
+        code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                       "--tokens", tokens, "--embeddings", embeddings,
+                       "--output", tmp_path / "cond.tf", "--frame", 100,
+                       f"--timestep={timestep}", "--layer", 0)
+        assert code == 2
+        assert capsys.readouterr().err == f"tiara: timestep must be finite, got {timestep}\n"
+
     def test_span_count_mismatch(self, tmp_path, blend_files, capsys):
         prompts, spans, tokens, embeddings, _ = blend_files
         spans.write_text("0 50\n")
@@ -761,6 +791,55 @@ class TestExitCodes:
         write_tensor(lp, np.zeros((1, 1, 4, 4)))
         assert run_cli("analyze", "--input", lp, "--output", tmp_path / "o.tf",
                        "--config", cfg) == 2
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call may leave state
+    in it that changes a later call."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_commands_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        rng = np.random.default_rng(91)
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, rng.standard_normal((2, 3, 8, 8)))
+        write_tensor(vp, rng.standard_normal((2, 3, 8, 4)))
+        reweight = ["reweight", "--logits", lp, "--values", vp]
+        commands = [
+            (reweight + ["--out-values", "y.tf", "--out-attention", "a.tf",
+                         "--alpha", 0, "--corner-penalty", 0], ["y.tf", "a.tf"]),
+            (reweight + ["--out-values", "y.tf", "--out-attention", "a.tf"], ["y.tf", "a.tf"]),
+            (["analyze", "--input", lp, "--output", "rho.tf"], ["rho.tf"]),
+            (reweight + ["--out-values", "y.tf", "--out-attention", "a.tf", "--bogus"], []),
+            (["verify-theorem", "--sizes", 32], []),
+        ]
+
+        def outcome(run, workdir, argv, outputs):
+            workdir.mkdir()
+            code, out, err = run([str(workdir / a) if a in outputs else str(a) for a in argv])
+            return code, out, err, [(workdir / name).read_bytes() for name in outputs]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code,) + tuple(capsys.readouterr())
+
+        package_root = str(Path(cli.__file__).parents[1])
+
+        def fresh_process(argv):
+            done = subprocess.run([sys.executable, "-m", "tiara.cli", *argv], capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=package_root))
+            return done.returncode, done.stdout, done.stderr
+
+        shared = [outcome(in_process, tmp_path / f"in{i}", argv, outputs)
+                  for i, (argv, outputs) in enumerate(commands)]
+        assert [result[0] for result in shared] == [0, 0, 0, 2, 0]
+        for i, (argv, outputs) in enumerate(commands):
+            assert outcome(fresh_process, tmp_path / f"fresh{i}", argv, outputs) == shared[i]
 
 
 class TestPipeline:

@@ -4,10 +4,11 @@ homogeneity and separation measurements."""
 import numpy as np
 import pytest
 
-from tiara import (ValidationError, dynamic_component, estimate_kappa,
+from tiara import (ValidationError, consistency, dynamic_component, estimate_kappa,
                    homogeneity_deviation, inconsistency_error,
                    inconsistency_profile, make_window, softmax_rows)
 from tiara.consistency import high_band, separation
+from tiara.spectral import dstft_bins
 
 from oracles import naive_dstft
 
@@ -101,6 +102,17 @@ class TestHighBand:
     def test_threshold_validation(self):
         with pytest.raises(ValidationError, match="k_threshold"):
             high_band(np.ones(8), make_window("hann", 3), 5)
+
+    # one shift per block; three shifts per block, the last block partial
+    @pytest.mark.parametrize("shifts_per_block", [1, 3])
+    def test_blocks_give_the_bits_of_one_transform(self, monkeypatch, shifts_per_block):
+        x = np.random.default_rng(54).standard_normal(20)
+        w = make_window("blackman", 7)
+        ks = np.arange(3, 11)
+        monkeypatch.setattr(consistency, "_HIGH_BAND_BLOCK_BYTES", 16 * len(ks) * shifts_per_block)
+        expected = np.abs(dstft_bins(x, w, np.arange(20), ks))
+        assert np.array_equal(high_band(x, w, 3), expected)
+        assert np.array_equal(high_band(x, w, 3, 7), expected[7])
 
 
 class TestSeparation:
