@@ -60,7 +60,8 @@ def as_field(logits_field) -> np.ndarray:
 def softmax_rows(logits) -> np.ndarray:
     """Softmax over the last axis with max-subtraction for stability.  The
     one rule for logit values: -inf masks an entry (weight exactly 0); a row
-    whose max is not finite (NaN, +inf, or all masked) is rejected."""
+    whose max is not finite (NaN, +inf, or all masked) is rejected.  The
+    result is built in one new array; the input is never written."""
     scores = np.asarray(logits, dtype=float)
     if scores.shape[-1:] == (0,):
         raise ValidationError(f"softmax rows must have at least one frame, got shape {scores.shape}")
@@ -70,8 +71,10 @@ def softmax_rows(logits) -> np.ndarray:
         top = peak[row][0]
         reason = "holds NaN" if np.isnan(top) else "holds +inf" if top > 0 else "is fully masked"
         raise ValidationError(f"logits row {row} {reason}")
-    e = np.exp(scores - peak)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(scores, peak)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def reweighted_attention(logits, penalty, values):
@@ -196,8 +199,9 @@ def build_reweight_matrix(rho, alpha: float, corner_size: int,
         raise ValidationError("rho must be a sequence (or a stack of them)")
     if np.any(rho < 0) or np.any(rho > 1):
         raise ValidationError("motion intensities must lie in [0, 1]")
-    if alpha < 0 or corner_penalty < 0:
-        raise ValidationError("alpha and corner_penalty must be >= 0")
+    for name, value in (("alpha", alpha), ("corner_penalty", corner_penalty)):
+        if not 0.0 <= value < np.inf:  # NaN fails both comparisons
+            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
     n = rho.shape[-1]
     if not 0 <= corner_size <= n // 2:
         raise ValidationError(f"corner_size must lie in [0, {n // 2}], got {corner_size}")

@@ -9,7 +9,7 @@ import argparse
 import itertools
 import sys
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -94,12 +94,11 @@ def _read_instance(path, rank: int, name: str) -> np.ndarray:
 def cmd_verify_theorem(args) -> int:
     config = _resolve_config(args)
     window = config.window()
-    reports = []
     if args.logits or args.values:
         if not (args.logits and args.values):
             raise ValidationError("--logits and --values must be given together")
-        instances = [(_read_instance(args.logits, 2, "logits"),
-                      _read_instance(args.values, 1, "values"))]
+        logits = _read_instance(args.logits, 2, "logits")
+        instances = [(lambda: logits, _read_instance(args.values, 1, "values"))]
     else:
         sizes = [token.strip() for token in args.sizes.split(",") if token.strip()]
         if not sizes:
@@ -110,20 +109,18 @@ def cmd_verify_theorem(args) -> int:
                 n = int(token)
             except ValueError:
                 raise ValidationError(f"--sizes: {token!r} is not an integer") from None
-            logits = gen_homogeneous_attention(n, args.decay)
-            values = gen_inconsistent_values(n, args.b_v, args.hf_amplitude, config.seed)
-            instances.append((logits, values))
-    lines = []
-    all_passed = True
-    for logits, values in instances:
-        instance = make_instance(softmax_rows(logits), values, window,
+            # the values check every n before any N x N logits are built
+            instances.append((partial(gen_homogeneous_attention, n, args.decay),
+                              gen_inconsistent_values(n, args.b_v, args.hf_amplitude, config.seed)))
+    reports = []
+    for make_logits, values in instances:
+        # one size's logits and attention map at a time
+        instance = make_instance(softmax_rows(make_logits()), values, window,
                                  config.k_threshold, config.eta)
         require_feasible(instance)
-        report = verify_theorem(instance)
-        reports.append(report)
-        all_passed = all_passed and report.passed
-        lines.append(format_report(report))
-        lines.append("")
+        reports.append(verify_theorem(instance))
+        del instance
+    lines = [line for report in reports for line in (format_report(report), "")]
     summary = ["summary"]
     for report in reports:
         verdict = "PASS" if report.passed else "FAIL"
@@ -138,7 +135,7 @@ def cmd_verify_theorem(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if all_passed else EXIT_THEOREM
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_THEOREM
 
 
 def cmd_blend(args) -> int:

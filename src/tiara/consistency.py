@@ -10,8 +10,10 @@ from .spectral import Window, as_signal, as_square, dstft_bins
 
 KAPPA_TOLERANCE = 1e-12
 
-# Complex coefficients held at once by high_band: whole shifts, at least one.
-_HIGH_BAND_BLOCK_BYTES = 1 << 20
+# Bytes one block of work holds at once: high_band's complex coefficients
+# (whole shifts, at least one) and homogeneity_deviation's row block with
+# its copy (whole rows, at least one).
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,7 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     """Magnitudes |T(x)| over k in [k_t, N//2]: one row per shift tau in
     [0, N), or the single row of shift ``tau`` when it is given.  The full
     table is transformed a block of shifts at a time, each block's complex
-    coefficients within _HIGH_BAND_BLOCK_BYTES; every (shift, k) sum is
+    coefficients within _BLOCK_BYTES; every (shift, k) sum is
     independent, so blocking does not change the bits."""
     x = as_signal(x)
     n = len(x)
@@ -35,7 +37,7 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
         raise ValidationError(f"k_threshold must be an integer in [1, {n // 2}], got {k_t!r}")
     ks = np.arange(k_t, n // 2 + 1)
     taus = np.arange(n) if tau is None else int(tau)
-    per_block = max(1, _HIGH_BAND_BLOCK_BYTES // (16 * len(ks)))
+    per_block = max(1, _BLOCK_BYTES // (16 * len(ks)))
     if np.size(taus) <= per_block:  # one block: its own array, no table to fill
         return np.abs(dstft_bins(x, w, taus, ks))
     table = np.empty((n, len(ks)))
@@ -91,9 +93,25 @@ def estimate_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE) 
 def homogeneity_deviation(a) -> float:
     """Max over i, j, k of |a[i, i+k] - a[j, j+k]| with wrapped indices.
 
-    Zero exactly when the matrix is circulant.
+    Zero exactly when the matrix is circulant.  Rows are read a block at a
+    time, each block with its copy within _BLOCK_BYTES, keeping a running
+    max and min per diagonal k; both are exact, so blocking does not change
+    the bits.
     """
     a = as_square(a, "attention map")
-    rows = np.arange(a.shape[0])[:, None]
-    diagonals = a[rows, (rows + rows.T) % a.shape[0]]  # diagonals[i, k] = a[i, i+k]
-    return float(np.ptp(diagonals, axis=0).max()) if a.size else 0.0
+    n = a.shape[0]
+    if not n:
+        return 0.0
+    top = np.full(n, -np.inf)
+    bottom = np.full(n, np.inf)
+    per_block = max(1, _BLOCK_BYTES // (16 * n))
+    for start in range(0, n, per_block):
+        twice = np.tile(a[start:start + per_block], 2)  # each row followed by itself
+        row_step, column_step = twice.strides
+        # diagonals[i, k] = twice[i, start + i + k] = a[start + i, (start + i + k) % n]
+        diagonals = np.lib.stride_tricks.as_strided(
+            twice[:, start:], shape=(len(twice), n), strides=(row_step + column_step, column_step),
+            writeable=False)
+        np.maximum(top, diagonals.max(axis=0), out=top)
+        np.minimum(bottom, diagonals.min(axis=0), out=bottom)
+    return float((top - bottom).max())

@@ -10,6 +10,7 @@ text model is involved.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -171,8 +172,9 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
         if not e0 < s1:
             raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
     t1, t2 = float(t_window[0]), float(t_window[1])
-    if t1 > t2:
-        raise ValidationError(f"timestep window start {t1} exceeds end {t2}")
+    if not (isfinite(t1) and isfinite(t2) and t1 <= t2):
+        raise ValidationError(
+            f"timestep window ({t1}, {t2}) must be finite with start <= end")
     if layer_threshold < 0:
         raise ValidationError("layer_threshold must be >= 0")
     return BlendSchedule(segments=segments, t_window=(t1, t2),

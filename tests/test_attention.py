@@ -40,6 +40,16 @@ class TestSoftmaxRows:
         assert np.allclose(got, [[1 / 3, 0.0, 2 / 3], [0.0, 1.0, 0.0]], atol=1e-15)
         assert got[0, 1] == 0.0 and got[1, 0] == 0.0 and got[1, 2] == 0.0
 
+    def test_bits_of_the_two_step_formula_and_input_untouched(self):
+        logits = 4.0 * np.random.default_rng(33).standard_normal((3, 5, 7))
+        logits[0, 1, [2, 5]] = -np.inf
+        logits[2, 4, :6] = -np.inf
+        before = logits.copy()
+        got = softmax_rows(logits)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert got.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        assert np.array_equal(logits, before)
+
     @pytest.mark.parametrize("entry, words", [
         (np.nan, "holds NaN"), (np.inf, "holds \\+inf"), (None, "is fully masked")],
         ids=["nan", "posinf", "fully_masked"])
@@ -222,6 +232,14 @@ class TestBuildReweightMatrix:
     def test_oversized_corner_rejected(self):
         with pytest.raises(ValidationError, match="corner_size"):
             build_reweight_matrix(np.ones(4), 1.0, 3, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0],
+                             ids=["nan", "posinf", "neginf", "negative"])
+    @pytest.mark.parametrize("name", ["alpha", "corner_penalty"])
+    def test_bad_strength_named_through_tiara(self, name, value):
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite and >= 0, got {value}$"):
+            tiara(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 1)), make_window("hann", 3),
+                  **{name: value})
 
 
 class TestTiaraPipeline:

@@ -109,7 +109,7 @@ class TestHighBand:
         x = np.random.default_rng(54).standard_normal(20)
         w = make_window("blackman", 7)
         ks = np.arange(3, 11)
-        monkeypatch.setattr(consistency, "_HIGH_BAND_BLOCK_BYTES", 16 * len(ks) * shifts_per_block)
+        monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * len(ks) * shifts_per_block)
         expected = np.abs(dstft_bins(x, w, np.arange(20), ks))
         assert np.array_equal(high_band(x, w, 3), expected)
         assert np.array_equal(high_band(x, w, 3, 7), expected[7])
@@ -202,6 +202,17 @@ class TestHomogeneityDeviation:
         a = np.array([np.roll(base, i) for i in range(4)])
         a[2, 1] += 0.05
         assert homogeneity_deviation(a) == pytest.approx(0.05, abs=1e-15)
+
+    # default blocks, one row per block, and partial last blocks
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 2, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
+    def test_bits_of_the_index_table(self, monkeypatch, n, rows_per_block):
+        if rows_per_block:
+            monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * n * rows_per_block)
+        a = softmax_rows(np.random.default_rng(n).standard_normal((n, n)))
+        rows = np.arange(n)[:, None]
+        index_table = float(np.ptp(a[rows, (rows + rows.T) % n], axis=0).max())
+        assert homogeneity_deviation(a) == index_table
 
     def test_nonzero_iff_not_circulant(self):
         rng = np.random.default_rng(50)

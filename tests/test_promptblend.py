@@ -162,6 +162,13 @@ class TestSchedule:
         with pytest.raises(ValidationError, match="timestep window"):
             make_schedule([(0, 10)], (0.9, 0.5), 8)
 
+    @pytest.mark.parametrize("t_window", [(np.nan, 1.0), (0.5, np.nan), (-np.inf, 1.0),
+                                          (0.5, np.inf)])
+    def test_non_finite_t_window_rejected(self, t_window):
+        with pytest.raises(ValidationError,
+                           match=r"^timestep window \(.+\) must be finite with start <= end$"):
+            make_schedule([(0, 5), (8, 10)], t_window, 8)
+
     def test_total_frames(self):
         schedule = make_schedule([(0, 50), (150, 310)], (0.6, 1.0), 8)
         assert schedule.total_frames == 310

@@ -2,6 +2,7 @@
 instance generators, and the inconsistency-reduction check."""
 
 import dataclasses
+import tracemalloc
 from math import exp, log
 
 import numpy as np
@@ -12,8 +13,10 @@ from tiara import (ValidationError, alpha_from_closed_form, dynamic_component,
                    gen_inconsistent_values, homogeneity_deviation,
                    inconsistency_profile, iota, lambda_coef, make_instance,
                    make_window, softmax_rows, verify_theorem)
-from tiara import consistency
+from tiara import consistency, verifier
 from tiara.verifier import require_feasible, slack
+
+from oracles import closed_form_rows
 
 
 class TestAlphaClosedForm:
@@ -94,6 +97,14 @@ class TestGenerators:
         for n, decay in [(8, 0.5), (16, 1.0), (33, 2.0)]:
             a = softmax_rows(gen_homogeneous_attention(n, decay))
             assert homogeneity_deviation(a) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    @pytest.mark.parametrize("decay", [0.0, 1.0, 3.7])
+    def test_bits_of_the_circular_distance(self, n, decay):
+        i = np.arange(n)
+        d = np.abs(i[:, None] - i[None, :])
+        expected = -decay * np.minimum(d, n - d).astype(float)
+        assert gen_homogeneous_attention(n, decay).tobytes() == expected.tobytes()
 
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError, match=">= 2"):
@@ -214,10 +225,104 @@ class TestVerifyTheorem:
     def test_instance_tables_match_the_consistency_functions(self):
         inst = self._instance(48)
         x = inst.attention @ inst.values
-        x_dyn = dynamic_component(inst.attention) @ inst.values
+        x_dyn = x - np.diag(inst.attention) * inst.values
         assert np.array_equal(inst.e_x,
                               inconsistency_profile(x, inst.window, inst.k_t).per_tau)
         assert inst.kappa_hat == estimate_kappa(x, x_dyn, inst.window, inst.k_t)
+        product = dynamic_component(inst.attention) @ inst.values
+        assert inst.kappa_hat == pytest.approx(
+            estimate_kappa(x, product, inst.window, inst.k_t), abs=1e-12)
+
+
+def _reweighted_signals(monkeypatch, instance):
+    """The y and y_dyn that verify_theorem transforms, in that order."""
+    signals = []
+    real = verifier.high_band
+
+    def recording(x, *args):
+        signals.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(verifier, "high_band", recording)
+    report = verify_theorem(instance)
+    return report.alpha, signals
+
+
+class TestClosedFormReweight:
+    """verify_theorem's y and y_dyn against the reweighted map built row by
+    row; the instance supplies alpha, the map and values are swapped in."""
+
+    N = 24
+
+    @staticmethod
+    def _maps():
+        rng = np.random.default_rng(70)
+        n = TestClosedFormReweight.N
+        plain = softmax_rows(2.0 * rng.standard_normal((n, n)))
+        sparse = plain * (rng.random((n, n)) < 0.5)
+        sparse[3] = 0.0
+        sparse[3, 7] = 1.0  # one-hot off the diagonal: d = 0
+        sparse[5, 5] = 0.0
+        sparse /= sparse.sum(axis=1, keepdims=True)
+        logits = rng.standard_normal((n, n))
+        logits[0, 0] = logits[1, 9] = 40.0  # near-one-hot rows, on and off the diagonal
+        return {"non_circulant": plain, "zero_entries": sparse,
+                "near_one_hot": softmax_rows(logits)}
+
+    @pytest.mark.parametrize("kind", ["non_circulant", "zero_entries", "near_one_hot"])
+    def test_matches_the_row_oracle(self, monkeypatch, kind):
+        a = self._maps()[kind]
+        v = np.random.default_rng(71).uniform(-1.0, 1.0, self.N)
+        inst = dataclasses.replace(TestVerifyTheorem._instance(self.N), attention=a, values=v)
+        alpha, (y, y_dyn) = _reweighted_signals(monkeypatch, inst)
+        a_y = np.array(closed_form_rows(a.tolist(), alpha))
+        assert np.abs(y - a_y @ v).max() <= 1e-12
+        assert np.abs(y_dyn - dynamic_component(a_y) @ v).max() <= 1e-12
+
+    def test_rows_off_one_match_the_softmax(self, monkeypatch):
+        # rows summing to 1 within make_instance's 1e-9 are renormalised
+        # exactly as softmax(log a - alpha * I) renormalises them
+        rng = np.random.default_rng(72)
+        a = self._maps()["non_circulant"] * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (self.N, 1)))
+        v = rng.uniform(-1.0, 1.0, self.N)
+        inst = dataclasses.replace(TestVerifyTheorem._instance(self.N), attention=a, values=v)
+        alpha, (y, y_dyn) = _reweighted_signals(monkeypatch, inst)
+        a_y = softmax_rows(np.log(a) - alpha * np.eye(self.N))
+        assert np.abs(y - a_y @ v).max() <= 1e-12
+        assert np.abs(y_dyn - dynamic_component(a_y) @ v).max() <= 1e-12
+
+
+def _traced_peak(function, *args):
+    """Bytes allocated at the peak of one call, above what existed before."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeNMemory:
+    """Traced peaks at N = 1024, in units of one N x N float array: the
+    generator and the softmax hold their result only, and the verifier
+    holds no N x N temporary beyond high-band tables of about half that."""
+
+    N = 1024
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        logits = gen_homogeneous_attention(self.N, 1.0)
+        attention = softmax_rows(logits)
+        values = gen_inconsistent_values(self.N, 1.0, 1e-12, 0)
+        instance = make_instance(attention, values, make_window("blackman", 9), 5, 0.9)
+        return {"gen_homogeneous_attention": (gen_homogeneous_attention, self.N, 1.0),
+                "softmax_rows": (softmax_rows, logits),
+                "verify_theorem": (verify_theorem, instance)}
+
+    @pytest.mark.parametrize("name, bound", [("gen_homogeneous_attention", 1.1),
+                                             ("softmax_rows", 1.1), ("verify_theorem", 2.5)])
+    def test_traced_peak(self, inputs, name, bound):
+        assert _traced_peak(*inputs[name]) <= bound * self.N * self.N * 8
 
 
 def _rejection(function, *args):
