@@ -182,12 +182,22 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
                          total_frames=segments[-1][1])
 
 
+def _integer_frames(n) -> np.ndarray:
+    """n as an integer array; a float or bool frame is rejected by name."""
+    frames = np.asarray(n)
+    if frames.dtype.kind not in "iu":
+        if not frames.size:
+            raise ValidationError(f"frames must be integers, got an empty {frames.dtype} array")
+        raise ValidationError(f"frame {frames.flat[0]} is not an integer (dtype {frames.dtype})")
+    return frames
+
+
 def interpolation_weight(n, n_end: int, next_start: int):
     """Linear position of frame n, or of each frame in an integer array n,
     inside the transition (n_end, next_start)."""
     if next_start <= n_end:
         raise ValidationError(f"next span start {next_start} must exceed span end {n_end}")
-    frames = np.asarray(n)
+    frames = _integer_frames(n)
     bad = frames[~((n_end <= frames) & (frames <= next_start))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} outside transition window [{n_end}, {next_start}]")
@@ -203,10 +213,14 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     entrywise with weight a_n when t lies in the configured window or
     d reaches the layer threshold; otherwise the earlier prompt is kept.
     From the start of span i+1 onward the later prompt takes over.  Frames
-    before the first span use the first prompt.  One frame n gives a fresh
-    (L, d) matrix; an integer array of frames gives ``n.shape + (L, d)``.
-    With ``out``, a float64 array of that shape, the result is written
-    into it and ``out`` is returned.
+    before the first span use the first prompt.  One integer frame n gives
+    a fresh (L, d) matrix; an integer array of frames gives
+    ``n.shape + (L, d)``; a float or bool frame is rejected.  With ``out``,
+    a float64 array of that shape that shares no memory with ``embedded``,
+    the result is written into it and ``out`` is returned.  Each blended
+    frame is computed in place in its own row of the result, with one
+    (L, d) scratch matrix for the whole call, so the blend allocates no
+    temporary that grows with the frame count.
     """
     embedded = np.asarray(embedded, dtype=float)
     if embedded.ndim != 3:
@@ -214,7 +228,7 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     if embedded.shape[0] != len(schedule.segments):
         raise ValidationError(
             f"{embedded.shape[0]} embedded prompts but {len(schedule.segments)} spans")
-    frames = np.asarray(n)
+    frames = _integer_frames(n)
     bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
@@ -223,7 +237,11 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
         if out.shape != shape or out.dtype != np.float64:
             raise ValidationError(f"out must be a float64 array of shape {shape}, "
                                   f"got {out.dtype} of shape {out.shape}")
+        if np.may_share_memory(out, embedded):
+            raise ValidationError("out may share memory with embedded; "
+                                  "blending writes out while it reads embedded")
     starts = [s for s, _ in schedule.segments]
+    ends = np.array([e for _, e in schedule.segments])
     owner = np.maximum(np.searchsorted(starts, frames, side="right") - 1, 0)
     # take() copies even for a 0-d index, so a single frame never aliases embedded;
     # every owner is in range, and mode="clip" fills out directly where "raise"
@@ -231,11 +249,18 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     out = np.take(embedded, owner, axis=0, out=out, mode="clip")
     t1, t2 = schedule.t_window
     if t1 <= t <= t2 or d >= schedule.layer_threshold:
-        transitions = zip(schedule.segments, schedule.segments[1:])
-        for i, ((_, end), (next_start, _)) in enumerate(transitions):
-            inside = (frames > end) & (frames < next_start)
-            if not inside.any():
-                continue
-            a = interpolation_weight(frames[inside], end, next_start)[:, None, None]
-            out[inside] = (1.0 - a) * embedded[i] + a * embedded[i + 1]
+        # a frame lies strictly inside transition i exactly when its owner i is
+        # not the last span and the frame is past span i's end
+        inside = (owner < len(starts) - 1) & (frames > ends[owner])
+        where, owners, inner = np.argwhere(inside), owner[inside], frames[inside]
+        term = np.empty(embedded.shape[1:])
+        for i in np.unique(owners):
+            mine = owners == i
+            weights = interpolation_weight(inner[mine], int(ends[i]), starts[i + 1])
+            for index, a in zip(where[mine], weights):
+                # (1 - a) * embedded[i] + a * embedded[i + 1], operation for operation
+                row = out[tuple(index)]
+                np.multiply(1.0 - a, embedded[i], out=row)
+                np.multiply(a, embedded[i + 1], out=term)
+                row += term
     return out

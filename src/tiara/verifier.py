@@ -246,7 +246,14 @@ def verify_theorem(instance: TheoremInstance) -> TheoremReport:
 
 
 def format_report(report: TheoremReport) -> str:
-    """Structured text: one key/value per line plus the per-shift table."""
+    """Structured text: one key/value per line plus the per-shift table.
+
+    Floats are printed to 12 significant digits, more than some instances
+    support: with a high-frequency line of amplitude 1e-12, |T(x)| is about
+    1e-12 while x is about 1, so float64 rounding in x = a @ v alone moves
+    kappa_hat by up to about 5e-10 relative, and only about 9 to 10 of its
+    digits are meaningful.
+    """
     lines = [
         f"n: {report.n}",
         f"eta: {report.eta:.12g}",

@@ -1,5 +1,7 @@
 """Tests for tiara.promptblend: parsing, alignment, interpolation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ class TestInterpolationWeight:
         with pytest.raises(ValidationError, match="must exceed"):
             interpolation_weight(10, 10, 10)
 
+    @pytest.mark.parametrize("n, named", [(12.5, "frame 12.5"), (np.float64(15.0), "frame 15.0"),
+                                          (True, "frame True"),
+                                          (np.array([12.0, 15.0]), "frame 12.0")])
+    def test_non_integer_frame_rejected(self, n, named):
+        with pytest.raises(ValidationError, match=f"^{named} is not an integer"):
+            interpolation_weight(n, 10, 20)
+
 
 class TestSchedule:
     def test_overlapping_spans_rejected(self):
@@ -246,6 +255,17 @@ class TestConditioning:
         with pytest.raises(ValidationError, match="spans"):
             conditioning(schedule, np.zeros((3, 6, 4)), 0, 0.0, 0)
 
+    @pytest.mark.parametrize("n, message", [
+        (6.5, "frame 6.5 is not an integer"), (np.float64(6.0), "frame 6.0 is not an integer"),
+        (True, "frame True is not an integer"), (np.array([6.0, 7.0]), "frame 6.0 is not an integer"),
+        (np.array([[False]]), "frame False is not an integer"),
+        ([], "frames must be integers, got an empty float64 array")])
+    def test_non_integer_frame_rejected(self, n, message):
+        embedded = np.zeros((2, 3, 4))
+        schedule = make_schedule([(0, 5), (8, 10)], (0.5, 1.0), 4)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            conditioning(schedule, embedded, n, 0.5, 0)
+
 
 class TestConditioningFrameArrays:
     """An array of frames gives the stack of the single-frame results."""
@@ -312,3 +332,49 @@ class TestConditioningFrameArrays:
         assert np.array_equal(interpolation_weight(frames, 10, 20), [0.0, 0.5, 1.0])
         with pytest.raises(ValidationError, match="frame 9 outside"):
             interpolation_weight(np.array([12, 9]), 10, 20)
+
+
+class TestConditioningInPlace:
+    """Blending writes each frame into its own row of the result."""
+
+    @pytest.fixture
+    def wide(self):
+        rng = np.random.default_rng(64)
+        embedded = rng.standard_normal((2, 20, 768))  # blend_dump-sized frames
+        schedule = make_schedule([(0, 50), (150, 310)], (0.6, 1.0), 8)
+        return schedule, embedded
+
+    def test_out_block_inside_a_transition_allocates_at_most_two_frames(self, wide):
+        schedule, embedded = wide
+        frames = np.arange(60, 92)  # 32 frames, all strictly inside (50, 150)
+        out = np.empty((32,) + embedded.shape[1:])
+        conditioning(schedule, embedded, frames, 0.8, 0, out=out)
+        tracemalloc.start()
+        try:
+            conditioning(schedule, embedded, frames, 0.8, 0, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * embedded[0].nbytes
+        assert out.tobytes() == conditioning(schedule, embedded, frames, 0.8, 0).tobytes()
+
+    def test_strided_out_gets_the_bytes_of_the_allocating_call(self, wide):
+        schedule, embedded = wide
+        frames = np.array([[40, 75], [100, 149]])
+        backing = np.full((2, 2, 40, 768), np.nan)
+        out = backing[:, :, ::2]
+        assert conditioning(schedule, embedded, frames, 0.8, 0, out=out) is out
+        assert out.tobytes() == conditioning(schedule, embedded, frames, 0.8, 0).tobytes()
+        assert np.isnan(backing[:, :, 1::2]).all()
+
+    @pytest.mark.parametrize("out_of", [lambda e: e, lambda e: e[:1], lambda e: e[1, None, :, :]],
+                             ids=["whole", "first_prompt", "second_prompt"])
+    def test_out_sharing_memory_with_embedded_is_rejected(self, out_of):
+        embedded = np.random.default_rng(65).standard_normal((2, 3, 4))
+        schedule = make_schedule([(0, 5), (8, 10)], (0.5, 1.0), 4)
+        before = embedded.copy()
+        out = out_of(embedded)
+        frames = np.arange(6, 6 + len(out))
+        with pytest.raises(ValidationError, match="^out may share memory with embedded"):
+            conditioning(schedule, embedded, frames, 0.5, 0, out=out)
+        assert embedded.tobytes() == before.tobytes()

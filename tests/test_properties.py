@@ -63,7 +63,8 @@ def test_large_logits_keep_the_invariants(case):
 @st.composite
 def schedules(draw):
     """Ordered, non-overlapping spans (possibly empty ones and gaps), a
-    timestep window, a layer threshold, and one embedded prompt per span."""
+    timestep window, a layer threshold, one embedded prompt per span, and
+    a 1-D or 2-D integer array of frames (possibly empty)."""
     count = draw(st.integers(1, 4))
     spans, start = [], draw(st.integers(0, 3))
     for _ in range(count):
@@ -76,8 +77,11 @@ def schedules(draw):
     schedule = make_schedule(spans, (t1, draw(st.floats(t1, 1.0))), draw(st.integers(0, 9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     embedded = rng.standard_normal((count, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
-    frames = np.array(draw(st.lists(st.integers(0, schedule.total_frames - 1), max_size=12)),
-                      dtype=np.int64)
+    shape = draw(st.one_of(st.tuples(st.integers(0, 12)),
+                           st.tuples(st.integers(1, 3), st.integers(1, 4))))
+    size = int(np.prod(shape))
+    frames = np.array(draw(st.lists(st.integers(0, schedule.total_frames - 1),
+                                    min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
     return schedule, embedded, frames, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 12))
 
 
@@ -105,9 +109,13 @@ def test_frame_array_blend_matches_single_frames_and_loop(drawn):
     schedule, embedded, frames, t, d = drawn
     together = conditioning(schedule, embedded, frames, t, d)
     assert together.shape == frames.shape + embedded.shape[1:]
-    for k, n in enumerate(frames.tolist()):
+    out = np.full(together.shape, np.nan)
+    assert conditioning(schedule, embedded, frames, t, d, out=out) is out
+    assert out.tobytes() == together.tobytes()
+    for index in np.ndindex(frames.shape):
+        n = int(frames[index])
         alone = conditioning(schedule, embedded, n, t, d)
-        assert np.array_equal(together[k], alone)
+        assert together[index].tobytes() == alone.tobytes()
         loop = _loop_blend(schedule.segments, schedule.t_window, schedule.layer_threshold,
                            embedded, n, t, d)
         assert np.array_equal(alone, np.array(loop))
