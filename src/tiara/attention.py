@@ -135,18 +135,39 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     return np.abs(dstft_bins(padded, window, i + half, ks))
 
 
+def _strength_violation(value, name: str) -> str | None:
+    if value is None or 0.0 <= value < np.inf:  # None is unset; NaN fails both comparisons
+        return None
+    return f"{name} must be finite and >= 0, got {value}"
+
+
+def _corner_size_violation(size, name: str, n: int | None = None) -> str | None:
+    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 0):
+        return f"{name} must be an integer >= 0, got {size}"
+    if size is not None and n is not None and not size <= n // 2:
+        return f"{name} must be <= N//2 = {n // 2}, got {size}"
+    return None
+
+
+def _band_violation(phi1, phi2, npad: int | None = None) -> str | None:
+    """Each None (unset) or an integer; with Npad known, phi2 <= Npad//2 + 1."""
+    for phi, name, low in ((phi1, "phi1", 0), (phi2, "phi2", 1)):
+        if phi is not None and not (isinstance(phi, (int, np.integer)) and phi >= low):
+            return f"{name} must be an integer >= {low}, got {phi}"
+    if phi1 is not None and phi2 is not None and not phi1 < phi2:
+        return f"phi1 must be < phi2, got {phi1} >= {phi2}"
+    if phi2 is not None and npad is not None and not phi2 <= npad // 2 + 1:
+        return f"phi2 must be <= Npad//2 + 1 = {npad // 2 + 1}, got {phi2}"
+    return None
+
+
 def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int]:
     """Resolve the default band thresholds of an N-frame row and check them."""
     npad = n + 2 * window.half
-    if phi1 is None:
-        phi1 = min(ceil(npad / 8), npad // 2)
-    if phi2 is None:
-        phi2 = npad // 2 + 1
-    if not (isinstance(phi1, (int, np.integer)) and isinstance(phi2, (int, np.integer))):
-        raise ValidationError("phi1 and phi2 must be integers")
-    if not 0 <= phi1 < phi2 <= npad // 2 + 1:
-        raise ValidationError(
-            f"thresholds must satisfy 0 <= phi1 < phi2 <= {npad // 2 + 1}, got ({phi1}, {phi2})")
+    phi1 = min(ceil(npad / 8), npad // 2) if phi1 is None else phi1
+    phi2 = npad // 2 + 1 if phi2 is None else phi2
+    if violation := _band_violation(phi1, phi2, npad):
+        raise ValidationError(violation)
     return int(phi1), int(phi2)
 
 
@@ -187,24 +208,26 @@ def motion_profile(attention_map, window: Window, phi1: int | None = None,
                          phi2=phi2, window=window, spectra=spectra)
 
 
-def build_reweight_matrix(rho, alpha: float, corner_size: int,
-                          corner_penalty: float) -> ReweightMatrix:
+def build_reweight_matrix(rho, alpha: float, corner_size: int | None = None,
+                          corner_penalty: float | None = None) -> ReweightMatrix:
     """Assemble the penalty matrix: diagonal entry i is -alpha * (1 - rho_i),
     and the c-sized upper-right / lower-left corner triangles get -beta.
+    ``corner_size`` defaults to N//4 and ``corner_penalty`` to alpha/2.
 
     A stack of rho vectors (..., N) gives a stack of matrices (..., N, N).
     """
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     if rho.ndim < 1:
         raise ValidationError("rho must be a sequence (or a stack of them)")
-    if np.any(rho < 0) or np.any(rho > 1):
-        raise ValidationError("motion intensities must lie in [0, 1]")
-    for name, value in (("alpha", alpha), ("corner_penalty", corner_penalty)):
-        if not 0.0 <= value < np.inf:  # NaN fails both comparisons
-            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN fails both comparisons
+        raise ValidationError("rho (motion intensities) must lie in [0, 1]")
     n = rho.shape[-1]
-    if not 0 <= corner_size <= n // 2:
-        raise ValidationError(f"corner_size must lie in [0, {n // 2}], got {corner_size}")
+    if violation := (_strength_violation(alpha, "alpha")
+                     or _strength_violation(corner_penalty, "corner_penalty")
+                     or _corner_size_violation(corner_size, "corner_size", n)):
+        raise ValidationError(violation)
+    corner_size = n // 4 if corner_size is None else corner_size
+    corner_penalty = alpha / 2.0 if corner_penalty is None else corner_penalty
     i, j = np.indices((n, n))
     corner = (i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size)
     lam = np.zeros(rho.shape + (n,))
@@ -234,11 +257,6 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     if values_field.ndim != 4 or values_field.shape[:3] != logits_field.shape[:3]:
         raise ValidationError(
             f"values field shape {values_field.shape} does not match logits field {logits_field.shape}")
-    n = logits_field.shape[2]
-    if corner_size is None:
-        corner_size = n // 4
-    if corner_penalty is None:
-        corner_penalty = alpha / 2.0
     profile = motion_profile(softmax_rows(logits_field), window, phi1, phi2)
     penalty = build_reweight_matrix(profile, alpha, corner_size, corner_penalty)
     attention, outputs = reweighted_attention(logits_field, penalty, values_field)

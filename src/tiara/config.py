@@ -1,18 +1,19 @@
 """Plain-text key=value configuration shared by all CLI commands.
 
-Unknown keys are rejected; values are validated on load against the
-preconditions of the modules that consume them.  Keys left unset fall back
-to defaults; corner_size, corner_penalty, phi1 and phi2 stay unset until a
-frame count is known (corner_size -> N//4, corner_penalty -> alpha/2, the
-band thresholds -> the padded-length defaults).
+Unknown keys are rejected; on load, before any file is read, each key is
+checked under its own name by the predicate of the module that consumes
+it.  Keys left unset fall back to defaults; corner_size, corner_penalty,
+phi1 and phi2 stay unset until the frame count N is known (corner_size
+-> N//4, corner_penalty -> alpha/2, the band thresholds -> the
+padded-length defaults), as do the bounds that depend on N.
 """
 
 from dataclasses import dataclass, fields, replace
-from math import isfinite
 from typing import get_args
 
+from . import attention, consistency, promptblend, spectral, verifier
 from .errors import ConfigError
-from .spectral import WINDOW_KINDS, Window, make_window
+from .spectral import Window, make_window
 
 
 @dataclass(frozen=True)
@@ -43,35 +44,19 @@ CONFIG_KEYS = {_FILE_ALIASES.get(f.name, f.name): (f.name, (get_args(f.type) or 
 
 
 def validate_config(config: Config) -> Config:
-    for name in ("alpha", "corner_penalty", "t1", "t2"):
-        value = getattr(config, name)
-        if value is not None and not isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if config.alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {config.alpha}")
-    if config.corner_size is not None and config.corner_size < 0:
-        raise ConfigError(f"corner_size must be >= 0, got {config.corner_size}")
-    if config.corner_penalty is not None and config.corner_penalty < 0:
-        raise ConfigError(f"corner_penalty must be >= 0, got {config.corner_penalty}")
-    if config.window_kind not in WINDOW_KINDS:
-        raise ConfigError(f"window.kind must be one of {WINDOW_KINDS}, got {config.window_kind!r}")
-    if config.window_length < 1:
-        raise ConfigError(f"window.length must be >= 1, got {config.window_length}")
-    if config.phi1 is not None and config.phi1 < 0:
-        raise ConfigError(f"phi1 must be >= 0, got {config.phi1}")
-    if config.phi2 is not None and config.phi2 < 1:
-        raise ConfigError(f"phi2 must be >= 1, got {config.phi2}")
-    if (config.phi1 is not None and config.phi2 is not None
-            and not config.phi1 < config.phi2):
-        raise ConfigError(f"phi1 must be < phi2, got {config.phi1} >= {config.phi2}")
-    if config.k_threshold < 1:
-        raise ConfigError(f"k_threshold must be >= 1, got {config.k_threshold}")
-    if not 0.0 < config.eta < 1.0:
-        raise ConfigError(f"eta must lie in (0, 1), got {config.eta}")
-    if config.t1 > config.t2:
-        raise ConfigError(f"t1 must be <= t2, got {config.t1} > {config.t2}")
-    if config.layer_threshold < 0:
-        raise ConfigError(f"layer_threshold must be >= 0, got {config.layer_threshold}")
+    for violation in (attention._strength_violation(config.alpha, "alpha"),
+                      attention._corner_size_violation(config.corner_size, "corner_size"),
+                      attention._strength_violation(config.corner_penalty, "corner_penalty"),
+                      spectral._kind_violation(config.window_kind, "window.kind"),
+                      spectral._length_violation(config.window_length, "window.length"),
+                      attention._band_violation(config.phi1, config.phi2),
+                      consistency._k_threshold_violation(config.k_threshold, "k_threshold"),
+                      verifier._eta_violation(config.eta, "eta"),
+                      promptblend._t_window_violation(config.t1, config.t2),
+                      promptblend._layer_violation(config.layer_threshold, "layer_threshold"),
+                      verifier._seed_violation(config.seed, "seed")):
+        if violation:
+            raise ConfigError(violation)
     return config
 
 

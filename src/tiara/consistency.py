@@ -25,6 +25,14 @@ class InconsistencyReport:
     window: Window
 
 
+def _k_threshold_violation(k_t, name: str, n: int | None = None) -> str | None:
+    if not (isinstance(k_t, (int, np.integer)) and k_t >= 1):
+        return f"{name} must be an integer >= 1, got {k_t!r}"
+    if n is not None and not k_t <= n // 2:
+        return f"{name} must be <= N//2 = {n // 2}, got {k_t!r}"
+    return None
+
+
 def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     """Magnitudes |T(x)| over k in [k_t, N//2]: one row per shift tau in
     [0, N), or the single row of shift ``tau`` when it is given.  The full
@@ -33,8 +41,8 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     independent, so blocking does not change the bits."""
     x = as_signal(x)
     n = len(x)
-    if not isinstance(k_t, (int, np.integer)) or not 1 <= k_t <= n // 2:
-        raise ValidationError(f"k_threshold must be an integer in [1, {n // 2}], got {k_t!r}")
+    if violation := _k_threshold_violation(k_t, "k_threshold", n):
+        raise ValidationError(violation)
     ks = np.arange(k_t, n // 2 + 1)
     taus = np.arange(n) if tau is None else int(tau)
     per_block = max(1, _BLOCK_BYTES // (16 * len(ks)))

@@ -161,6 +161,21 @@ def embed_aligned(aligned: AlignedPromptSet, embedding_table) -> np.ndarray:
     return table[tokens]
 
 
+def _time_violation(t, name: str) -> str | None:
+    return None if isfinite(t) else f"{name} must be finite, got {t}"
+
+
+def _t_window_violation(t1, t2) -> str | None:
+    return (_time_violation(t1, "t1") or _time_violation(t2, "t2")
+            or (None if t1 <= t2 else f"t1 must be <= t2, got {t1} > {t2}"))
+
+
+def _layer_violation(layer, name: str) -> str | None:
+    if isinstance(layer, (int, np.integer)) and layer >= 0:
+        return None
+    return f"{name} must be an integer >= 0, got {layer}"
+
+
 def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
     segments = tuple((int(s), int(e)) for s, e in segments)
     if not segments:
@@ -172,11 +187,9 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
         if not e0 < s1:
             raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
     t1, t2 = float(t_window[0]), float(t_window[1])
-    if not (isfinite(t1) and isfinite(t2) and t1 <= t2):
-        raise ValidationError(
-            f"timestep window ({t1}, {t2}) must be finite with start <= end")
-    if layer_threshold < 0:
-        raise ValidationError("layer_threshold must be >= 0")
+    if violation := (_t_window_violation(t1, t2)
+                     or _layer_violation(layer_threshold, "layer_threshold")):
+        raise ValidationError(violation)
     return BlendSchedule(segments=segments, t_window=(t1, t2),
                          layer_threshold=int(layer_threshold),
                          total_frames=segments[-1][1])
@@ -215,12 +228,12 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     From the start of span i+1 onward the later prompt takes over.  Frames
     before the first span use the first prompt.  One integer frame n gives
     a fresh (L, d) matrix; an integer array of frames gives
-    ``n.shape + (L, d)``; a float or bool frame is rejected.  With ``out``,
-    a float64 array of that shape that shares no memory with ``embedded``,
-    the result is written into it and ``out`` is returned.  Each blended
-    frame is computed in place in its own row of the result, with one
-    (L, d) scratch matrix for the whole call, so the blend allocates no
-    temporary that grows with the frame count.
+    ``n.shape + (L, d)``; a float or bool frame, or a non-finite t, is
+    rejected.  With ``out``, a float64 array of that shape that shares no
+    memory with ``embedded``, the result is written into it and ``out`` is
+    returned.  Each blended frame is computed in place in its own row of
+    the result, with one (L, d) scratch matrix for the whole call, so the
+    blend allocates no temporary that grows with the frame count.
     """
     embedded = np.asarray(embedded, dtype=float)
     if embedded.ndim != 3:
@@ -232,6 +245,8 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
+    if violation := _time_violation(t, "t"):
+        raise ValidationError(violation)
     if out is not None:
         shape = frames.shape + embedded.shape[1:]
         if out.shape != shape or out.dtype != np.float64:

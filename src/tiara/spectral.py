@@ -66,6 +66,16 @@ def as_square(a, name: str, stacked: bool = False) -> np.ndarray:
     return a
 
 
+def _kind_violation(kind, name: str) -> str | None:
+    return None if kind in WINDOW_KINDS else f"unknown {name} {kind!r}; expected one of {WINDOW_KINDS}"
+
+
+def _length_violation(length, name: str) -> str | None:
+    if isinstance(length, (int, np.integer)) and length >= 1:
+        return None
+    return f"{name} must be an integer >= 1, got {length!r}"
+
+
 def make_window(kind: str, length: int) -> Window:
     """Build a window of the given kind and length.
 
@@ -76,10 +86,8 @@ def make_window(kind: str, length: int) -> Window:
     symmetrised exactly (coeff[j] == coeff[L-1-j] bit-for-bit) and clipped
     to [0, 1] to absorb sign noise at endpoints that are zero analytically.
     """
-    if kind not in WINDOW_KINDS:
-        raise ValidationError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ValidationError(f"window length must be an integer >= 1, got {length!r}")
+    if violation := _kind_violation(kind, "window kind") or _length_violation(length, "window length"):
+        raise ValidationError(violation)
     length = int(length)
     if length == 1 or kind == "rectangular":
         coeffs = np.ones(length)

@@ -23,7 +23,7 @@ N x N array beyond the attention map and fixed-size transform blocks, so
 """
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
@@ -62,6 +62,9 @@ def _violation(kappa: float, eta: float, a_min: float, name: str) -> str | None:
     worded with ``name`` for kappa, or None.  Given the last two checks,
     1 - kappa - a_min * eta > 1 - eta > 0: the closed form's numerator is
     positive whenever its denominator is."""
+    for label, value in ((name, kappa), ("eta", eta), ("a_min", a_min)):
+        if not isfinite(value):
+            return f"{label} must be finite, got {value}"
     if kappa < 0.0:
         return f"{name} must be >= 0, got {kappa}"
     if not kappa < 1.0 - a_min:
@@ -75,6 +78,16 @@ def _violation(kappa: float, eta: float, a_min: float, name: str) -> str | None:
         return (f"infeasible: eta >= {name} / (1 - a_min) violated "
                 f"(eta * (1 - a_min) - {name} = {margin}, must exceed {DENOMINATOR_FLOOR})")
     return None
+
+
+def _eta_violation(eta, name: str) -> str | None:
+    return None if 0.0 < eta < 1.0 else f"{name} must lie in (0, 1), got {eta}"
+
+
+def _seed_violation(seed, name: str) -> str | None:
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return None
+    return f"{name} must be an integer >= 0, got {seed}"
 
 
 def alpha_from_closed_form(kappa: float, eta: float, a_min: float) -> float:
@@ -98,8 +111,8 @@ def gen_homogeneous_attention(n: int, decay: float) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    if decay < 0:
-        raise ValidationError(f"decay must be >= 0, got {decay}")
+    if not 0.0 <= decay < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"decay must be finite and >= 0, got {decay}")
     n = int(n)
     k = np.arange(n, dtype=float)
     first = -float(decay) * np.minimum(k, n - k)  # row 0: circular distance to frame 0
@@ -119,6 +132,10 @@ def gen_inconsistent_values(n: int, b_v: float, hf_amplitude: float, seed: int) 
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    if violation := _seed_violation(seed, "seed"):
+        raise ValidationError(violation)
+    if not isfinite(b_v):
+        raise ValidationError(f"b_v must be finite, got {b_v}")
     if not 0.0 < hf_amplitude <= b_v:
         raise ValidationError(
             f"hf_amplitude must satisfy 0 < hf_amplitude <= b_v, got {hf_amplitude} vs {b_v}")
@@ -179,8 +196,8 @@ def make_instance(attention, values, window: Window, k_t: int, eta: float) -> Th
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
         raise ValidationError(
             f"values must be a vector of length {a.shape[0]}, got shape {v.shape}")
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta must lie in (0, 1), got {eta}")
+    if violation := _eta_violation(eta, "eta"):
+        raise ValidationError(violation)
     x = a @ v
     d = np.diag(a)
     mag_x = high_band(x, window, k_t)

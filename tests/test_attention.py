@@ -5,9 +5,10 @@ from math import log
 import numpy as np
 import pytest
 
-from tiara import (ValidationError, build_reweight_matrix, make_window,
-                   motion_intensity, motion_profile, reweighted_attention,
-                   softmax_rows, tiara)
+from tiara import (ValidationError, alpha_from_closed_form, build_reweight_matrix,
+                   conditioning, gen_homogeneous_attention, gen_inconsistent_values,
+                   make_instance, make_schedule, make_window, motion_intensity,
+                   motion_profile, reweighted_attention, softmax_rows, tiara)
 
 from oracles import algorithm_reference, closed_form_rows, naive_softmax, rho_reference
 
@@ -184,9 +185,9 @@ class TestMotionIntensity:
     def test_threshold_ordering_rejected(self):
         w = make_window("hann", 7)
         row = np.arange(10.0)
-        with pytest.raises(ValidationError, match="thresholds"):
+        with pytest.raises(ValidationError, match="^phi1 must be < phi2, got 5 >= 4$"):
             motion_intensity(row, w, 0, 5, 4)
-        with pytest.raises(ValidationError, match="thresholds"):
+        with pytest.raises(ValidationError, match=r"^phi2 must be <= Npad//2 \+ 1 = 9, got 99$"):
             motion_intensity(row, w, 0, 0, 99)
 
     def test_profile_collects_rows(self):
@@ -233,6 +234,17 @@ class TestBuildReweightMatrix:
         with pytest.raises(ValidationError, match="corner_size"):
             build_reweight_matrix(np.ones(4), 1.0, 3, 1.0)
 
+    @pytest.mark.parametrize("size", [1.5, np.float64(1.0), np.nan])
+    def test_non_integer_corner_rejected(self, size):
+        # 1.5 used to build the corner_size = 2 matrix and record corner_size = 1
+        with pytest.raises(ValidationError, match=f"^corner_size must be an integer >= 0, got {size}$"):
+            build_reweight_matrix(np.ones(4), 1.0, size, 1.0)
+
+    def test_defaults_are_those_of_tiara(self):
+        got = build_reweight_matrix(np.full(9, 0.5), 3.0)
+        assert (got.corner_size, got.corner_penalty) == (2, 1.5)
+        assert np.array_equal(got.matrix, build_reweight_matrix(np.full(9, 0.5), 3.0, 2, 1.5).matrix)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0],
                              ids=["nan", "posinf", "neginf", "negative"])
     @pytest.mark.parametrize("name", ["alpha", "corner_penalty"])
@@ -240,6 +252,41 @@ class TestBuildReweightMatrix:
         with pytest.raises(ValidationError, match=rf"^{name} must be finite and >= 0, got {value}$"):
             tiara(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 1)), make_window("hann", 3),
                   **{name: value})
+
+
+_FIELD = (np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 1)), make_window("hann", 3))
+_MAP = softmax_rows(gen_homogeneous_attention(16, 1.0))
+_VALUES = gen_inconsistent_values(16, 1.0, 1e-4, 0)
+_SCHEDULE = make_schedule([(0, 4), (8, 12)], (0.6, 1.0), 8)
+
+# (function, parameter, call with that parameter set to v) for every float
+# parameter of the library calls behind the config keys and the CLI flags
+FLOAT_PARAMETERS = [
+    ("tiara", "alpha", lambda v: tiara(*_FIELD, alpha=v)),
+    ("tiara", "corner_penalty", lambda v: tiara(*_FIELD, corner_penalty=v)),
+    ("build_reweight_matrix", "rho", lambda v: build_reweight_matrix([0.5, v, 0.5, 0.5], 1.0)),
+    ("build_reweight_matrix", "alpha", lambda v: build_reweight_matrix(np.ones(4), v, 1, 1.0)),
+    ("build_reweight_matrix", "corner_penalty",
+     lambda v: build_reweight_matrix(np.ones(4), 1.0, 1, v)),
+    ("make_schedule", "t1", lambda v: make_schedule([(0, 4)], (v, 1.0), 8)),
+    ("make_schedule", "t2", lambda v: make_schedule([(0, 4)], (0.5, v), 8)),
+    ("alpha_from_closed_form", "kappa", lambda v: alpha_from_closed_form(v, 0.9, 0.1)),
+    ("alpha_from_closed_form", "eta", lambda v: alpha_from_closed_form(0.1, v, 0.1)),
+    ("alpha_from_closed_form", "a_min", lambda v: alpha_from_closed_form(0.1, 0.9, v)),
+    ("gen_homogeneous_attention", "decay", lambda v: gen_homogeneous_attention(8, v)),
+    ("gen_inconsistent_values", "b_v", lambda v: gen_inconsistent_values(8, v, 1e-4, 0)),
+    ("gen_inconsistent_values", "hf_amplitude", lambda v: gen_inconsistent_values(8, 1.0, v, 0)),
+    ("make_instance", "eta", lambda v: make_instance(_MAP, _VALUES, make_window("blackman", 9), 5, v)),
+    ("conditioning", "t", lambda v: conditioning(_SCHEDULE, np.zeros((2, 3, 2)), 6, v, 0)),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "posinf", "neginf"])
+@pytest.mark.parametrize("function, name, call", FLOAT_PARAMETERS,
+                         ids=[f"{function}-{name}" for function, name, _ in FLOAT_PARAMETERS])
+def test_non_finite_float_parameter_named(function, name, call, value):
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        call(value)
 
 
 class TestTiaraPipeline:

@@ -11,11 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tiara import (ConfigError, TensorFileError, ValidationError, cli, conditioning,
-                   make_schedule, make_window, motion_intensity, motion_profile,
-                   read_tensor, softmax_rows, tensorfile, tiara, write_tensor)
+from tiara import (ConfigError, TensorFileError, ValidationError, build_reweight_matrix, cli,
+                   conditioning, inconsistency_profile, make_instance, make_schedule,
+                   make_window, motion_intensity, motion_profile, read_tensor, softmax_rows,
+                   tensorfile, tiara, write_tensor)
 from tiara.cli import _resolve_config, build_parser, main
-from tiara.config import Config, load_config
+from tiara.config import CONFIG_KEYS, Config, load_config
 from tiara.tensorfile import Blocks
 from tiara.verifier import gen_homogeneous_attention, gen_inconsistent_values
 
@@ -201,9 +202,13 @@ class TestConfig:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["alpha", "corner_penalty", "t1", "t2"])
     def test_non_finite_float_named(self, tmp_path, capsys, key, value):
+        # each key in the words of its consuming module's check
+        rule = {"alpha": "finite and >= 0", "corner_penalty": "finite and >= 0",
+                "t1": "finite", "t2": "finite"}[key]
+        message = f"{key} must be {rule}"
         path = tmp_path / "tiara.cfg"
         path.write_text(f"{key} = {value}\n")
-        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+        with pytest.raises(ConfigError, match=f"^{message}, got {value}$"):
             load_config(path)
         lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
         write_tensor(lp, np.zeros((1, 1, 4, 4)))
@@ -212,7 +217,7 @@ class TestConfig:
         assert run_cli("reweight", "--logits", lp, "--values", vp, "--out-values",
                        tmp_path / "y.tf", "--out-attention", tmp_path / "a.tf",
                        f"{flag}={value}") == 2
-        assert capsys.readouterr().err == f"tiara: {key} must be finite, got {value}\n"
+        assert capsys.readouterr().err == f"tiara: {message}, got {value}\n"
         assert not (tmp_path / "y.tf").exists()
 
     def test_module_preconditions_enforced(self, tmp_path):
@@ -225,8 +230,99 @@ class TestConfig:
             load_config(path)
 
 
+def _rejection(function, *args):
+    try:
+        function(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+_BLACKMAN = make_window("blackman", 9)
+_INSTANCE = (softmax_rows(gen_homogeneous_attention(32, 1.0)),
+             gen_inconsistent_values(32, 1.0, 1e-4, 0))
+
+
+class TestOneRulePerKey:
+    """load_config rejects exactly the values of a key that the library call
+    consuming it rejects, in the same words apart from the name.  Values
+    stay clear of the bounds that depend on the frame count N, which the
+    config cannot know.  A new key without CASES fails."""
+
+    # key -> (the library's name for it, library call with the value, raw values)
+    CASES = {
+        "alpha": ("alpha", lambda v: build_reweight_matrix(np.zeros(64), v),
+                  ["-1", "-0.0", "0", "2.5", "nan", "inf", "-inf"]),
+        "corner_size": ("corner_size", lambda v: build_reweight_matrix(np.zeros(64), 1.0, v),
+                        ["-1", "0", "16", "32"]),
+        "corner_penalty": ("corner_penalty",
+                           lambda v: build_reweight_matrix(np.zeros(64), 1.0, 0, v),
+                           ["-1", "0", "1.5", "nan", "inf", "-inf"]),
+        "window.kind": ("window kind", lambda v: make_window(v, 9),
+                        ["hann", "blackman", "kaiser", "Hann", ""]),
+        "window.length": ("window length", lambda v: make_window("hann", v), ["-1", "0", "1", "9"]),
+        "phi1": ("phi1", lambda v: motion_profile(np.eye(64), _BLACKMAN, phi1=v),
+                 ["-1", "0", "3"]),
+        "phi2": ("phi2", lambda v: motion_profile(np.eye(64), _BLACKMAN, phi2=v),
+                 ["-1", "0", "10", "37"]),
+        "k_threshold": ("k_threshold",
+                        lambda v: inconsistency_profile(np.ones(64), _BLACKMAN, v),
+                        ["-1", "0", "1", "5", "32"]),
+        "eta": ("eta", lambda v: make_instance(*_INSTANCE, _BLACKMAN, 5, v),
+                ["0", "0.5", "0.9", "1", "1.5", "nan", "inf", "-inf"]),
+        "t1": ("t1", lambda v: make_schedule([(0, 4)], (v, 1.0), 8),
+               ["nan", "inf", "-inf", "0.5", "1.0", "2.0"]),
+        "t2": ("t2", lambda v: make_schedule([(0, 4)], (0.6, v), 8),
+               ["nan", "inf", "-inf", "0.5", "0.6", "0.7"]),
+        "layer_threshold": ("layer_threshold", lambda v: make_schedule([(0, 4)], (0.6, 1.0), v),
+                            ["-1", "0", "8"]),
+        "seed": ("seed", lambda v: gen_inconsistent_values(8, 1.0, 1e-4, v), ["-1", "0", "7"]),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_same_values_rejected_with_the_same_words(self, tmp_path, key):
+        name, call, raws = self.CASES[key]
+        path = tmp_path / "tiara.cfg"
+        rejected = 0
+        for raw in raws:
+            path.write_text(f"{key} = {raw}\n")
+            by_config = _rejection(load_config, path)
+            by_library = _rejection(call, CONFIG_KEYS[key][1](raw))
+            assert (by_config or "").replace(key, name) == (by_library or ""), raw
+            rejected += by_config is not None
+        assert 0 < rejected < len(raws)
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+class TestEveryKeyGuarded:
+    """Every config key is checked before any file is read: with input paths
+    that do not exist, an invalid value exits 2 naming the key, not 4.  A
+    new key without an entry in INVALID, or without a check, fails."""
+
+    INVALID = {"alpha": "-1", "corner_size": "-1", "corner_penalty": "nan",
+               "window.kind": "kaiser", "window.length": "0", "phi1": "-1", "phi2": "0",
+               "k_threshold": "0", "eta": "1.5", "t1": "nan", "t2": "inf",
+               "layer_threshold": "-1", "seed": "-1"}
+
+    @pytest.mark.parametrize("command", ["analyze", "reweight", "verify-theorem", "blend", "synth"])
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_invalid_value_exits_validation(self, tmp_path, capsys, command, key):
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        args = {"analyze": ["--input", missing, "--output", out],
+                "reweight": ["--logits", missing, "--values", missing, "--out-values", out,
+                             "--out-attention", out],
+                "verify-theorem": ["--logits", missing, "--values", missing, "--report", out],
+                "blend": ["--prompts", missing, "--spans", missing, "--tokens", missing,
+                          "--embeddings", missing, "--output", out, "--dump-all",
+                          "--timestep", 0.5, "--layer", 0],
+                "synth": ["--n", 8, "--out-logits", out, "--out-values", out]}[command]
+        flag = "--" + CONFIG_KEYS[key][0].replace("_", "-")
+        assert run_cli(command, *args, f"{flag}={self.INVALID[key]}") == 2
+        assert key in capsys.readouterr().err.split()
+        assert not out.exists()
 
 
 class TestSynthCommand:
@@ -245,6 +341,19 @@ class TestSynthCommand:
         logits = read_tensor(lp)
         assert logits.shape == (1, 1, 8, 8)
         assert np.array_equal(logits, np.zeros((1, 1, 8, 8)))
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--decay", "nan", "decay"), ("--decay", "inf", "decay"), ("--b-v", "inf", "b_v"),
+        ("--b-v", "nan", "b_v")])
+    @pytest.mark.parametrize("command", ["synth", "verify-theorem"])
+    def test_non_finite_generator_input_named(self, tmp_path, capsys, command, flag, value, name):
+        # synth used to exit 0 with NaN or inf tensors; verify-theorem blamed the logits or signal
+        out = tmp_path / "out"
+        args = (["--n", 8, "--out-logits", out, "--out-values", out] if command == "synth"
+                else ["--report", out])
+        assert run_cli(command, *args, f"{flag}={value}") == 2
+        assert capsys.readouterr().err.startswith(f"tiara: {name} must be finite")
+        assert not out.exists()
 
     def test_matches_library_generators(self, tmp_path):
         lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"

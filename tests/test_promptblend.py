@@ -168,15 +168,21 @@ class TestSchedule:
             make_schedule([(5, 3)], (0.5, 1.0), 8)
 
     def test_bad_t_window(self):
-        with pytest.raises(ValidationError, match="timestep window"):
+        with pytest.raises(ValidationError, match="^t1 must be <= t2, got 0.9 > 0.5$"):
             make_schedule([(0, 10)], (0.9, 0.5), 8)
 
     @pytest.mark.parametrize("t_window", [(np.nan, 1.0), (0.5, np.nan), (-np.inf, 1.0),
                                           (0.5, np.inf)])
     def test_non_finite_t_window_rejected(self, t_window):
-        with pytest.raises(ValidationError,
-                           match=r"^timestep window \(.+\) must be finite with start <= end$"):
+        name, value = ("t1", t_window[0]) if not np.isfinite(t_window[0]) else ("t2", t_window[1])
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite, got {value}$"):
             make_schedule([(0, 5), (8, 10)], t_window, 8)
+
+    @pytest.mark.parametrize("layer", [np.nan, 2.5, -1])
+    def test_layer_threshold_must_be_an_integer(self, layer):
+        # NaN used to raise a plain ValueError from int(), and 2.5 was truncated to 2
+        with pytest.raises(ValidationError, match=f"^layer_threshold must be an integer >= 0, got {layer}$"):
+            make_schedule([(0, 10)], (0.5, 1.0), layer)
 
     def test_total_frames(self):
         schedule = make_schedule([(0, 50), (150, 310)], (0.6, 1.0), 8)
