@@ -16,7 +16,7 @@ from math import ceil
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Window, as_square, dstft_bins
+from .spectral import Window, _index_violation, as_square, dstft_magnitudes
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,12 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     transform is taken at the padded position of sample i.  Returned
     magnitudes cover frequency indices 0 .. floor(Npad/2) of the padded
     transform.  Rows may be stacked as (..., N), with ``i`` broadcast
-    against the leading axes.
+    against the leading axes; ``i`` must have an integer dtype.
     """
     row = np.asarray(row, dtype=float)
     n = row.shape[-1]
+    if violation := _index_violation(i, "i"):
+        raise ValidationError(violation)
     i = np.asarray(i)
     if np.any((i < 0) | (i >= n)):
         raise ValidationError(f"row index {i} out of range [0, {n})")
@@ -132,7 +134,7 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     deviation = row - row.mean(axis=-1, keepdims=True)
     padded = deviation[..., np.arange(-half, n + half) % n]
     ks = np.arange((n + 2 * half) // 2 + 1)
-    return np.abs(dstft_bins(padded, window, i + half, ks))
+    return dstft_magnitudes(padded, window, i + half, ks)
 
 
 def _strength_violation(value, name: str) -> str | None:

@@ -16,8 +16,8 @@ import numpy as np
 from .attention import as_field, motion_profile, softmax_rows, tiara
 from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import ConfigError, TensorFileError, ValidationError
-from .promptblend import (TokenTable, _time_violation, align, conditioning,
-                          embed_aligned, make_schedule, parse_organized)
+from .promptblend import (TokenTable, _layer_violation, _time_violation, align,
+                          conditioning, embed_aligned, make_schedule, parse_organized)
 from .tensorfile import Blocks, read_tensor, write_tensor
 from .verifier import (format_report, gen_homogeneous_attention,
                        gen_inconsistent_values, make_instance, require_feasible,
@@ -140,7 +140,8 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_blend(args) -> int:
     config = _resolve_config(args)
-    if violation := _time_violation(args.timestep, "timestep"):
+    if violation := (_time_violation(args.timestep, "timestep")
+                     or _layer_violation(args.layer, "layer")):
         raise ConfigError(violation)
     with open(args.tokens, "r", encoding="utf-8") as handle:
         table = TokenTable.from_lines(handle)

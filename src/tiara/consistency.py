@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Window, as_signal, as_square, dstft_bins
+from .spectral import Window, _index_violation, as_signal, as_square, dstft_magnitudes
 
 KAPPA_TOLERANCE = 1e-12
 
@@ -35,29 +35,39 @@ def _k_threshold_violation(k_t, name: str, n: int | None = None) -> str | None:
 
 def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     """Magnitudes |T(x)| over k in [k_t, N//2]: one row per shift tau in
-    [0, N), or the single row of shift ``tau`` when it is given.  The full
-    table is transformed a block of shifts at a time, each block's complex
-    coefficients within _BLOCK_BYTES; every (shift, k) sum is
-    independent, so blocking does not change the bits."""
+    [0, N), or the single row of the integer shift ``tau`` when it is given.
+    The full table is transformed a block of shifts at a time, each block's
+    complex sums within _BLOCK_BYTES; every (shift, k) sum is independent,
+    so blocking does not change the bits."""
     x = as_signal(x)
     n = len(x)
-    if violation := _k_threshold_violation(k_t, "k_threshold", n):
+    if violation := (_k_threshold_violation(k_t, "k_threshold", n)
+                     or (tau is not None and _index_violation(tau, "tau"))):
         raise ValidationError(violation)
     ks = np.arange(k_t, n // 2 + 1)
     taus = np.arange(n) if tau is None else int(tau)
     per_block = max(1, _BLOCK_BYTES // (16 * len(ks)))
     if np.size(taus) <= per_block:  # one block: its own array, no table to fill
-        return np.abs(dstft_bins(x, w, taus, ks))
+        return dstft_magnitudes(x, w, taus, ks)
     table = np.empty((n, len(ks)))
     for start in range(0, n, per_block):
         stop = min(start + per_block, n)
-        np.abs(dstft_bins(x, w, np.arange(start, stop), ks), out=table[start:stop])
+        table[start:stop] = dstft_magnitudes(x, w, np.arange(start, stop), ks)
     return table
+
+
+def _tolerance_violation(tol, name: str) -> str | None:
+    if 0.0 <= tol < np.inf:  # NaN fails both comparisons
+        return None
+    return f"{name} must be finite and >= 0, got {tol}"
 
 
 def separation(mag_x, mag_d, tol: float = KAPPA_TOLERANCE) -> float:
     """Largest ratio mag_d / mag_x over the positions where mag_x >= tol,
-    or 0 if there are none (the bound is vacuous where x has no power)."""
+    or 0 if there are none (the bound is vacuous where x has no power).
+    ``tol`` must be finite and >= 0."""
+    if violation := _tolerance_violation(tol, "tol"):
+        raise ValidationError(violation)
     keep = mag_x >= tol
     return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0
 

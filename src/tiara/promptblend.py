@@ -228,8 +228,8 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     From the start of span i+1 onward the later prompt takes over.  Frames
     before the first span use the first prompt.  One integer frame n gives
     a fresh (L, d) matrix; an integer array of frames gives
-    ``n.shape + (L, d)``; a float or bool frame, or a non-finite t, is
-    rejected.  With ``out``, a float64 array of that shape that shares no
+    ``n.shape + (L, d)``; a float or bool frame, a non-finite t, or a layer
+    d that is not an integer >= 0 is rejected.  With ``out``, a float64 array of that shape that shares no
     memory with ``embedded``, the result is written into it and ``out`` is
     returned.  Each blended frame is computed in place in its own row of
     the result, with one (L, d) scratch matrix for the whole call, so the
@@ -245,7 +245,7 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
-    if violation := _time_violation(t, "t"):
+    if violation := _time_violation(t, "t") or _layer_violation(d, "d"):
         raise ValidationError(violation)
     if out is not None:
         shape = frames.shape + embedded.shape[1:]

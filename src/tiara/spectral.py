@@ -1,10 +1,19 @@
 """Discrete Fourier and short-time Fourier transforms with window functions.
 
 A signal is a 1-D array of finite floats, indexed periodically: sample n
-means sample n mod N everywhere in this module (``dstft_bins`` also takes a
-stack of signals along leading axes).  Transforms are direct
-O(N) summations per coefficient; at the few hundred samples this toolkit
-works with, correctness and bit-stable results matter more than FFT speed.
+means sample n mod N everywhere in this module (``dstft_bins`` and
+``dstft_magnitudes`` also take a stack of signals along leading axes).
+Transforms are direct O(N) summations per coefficient; at the few hundred
+samples this toolkit works with, correctness and bit-stable results matter
+more than FFT speed.
+
+Both stacked kernels share one core of windowed sums, laid out (K, S) with
+the S stacked signals innermost and accumulated one window tap at a time.
+``dstft_bins`` multiplies the core by its per-shift phase; callers that
+want only magnitudes use ``dstft_magnitudes``, which takes the modulus of
+the core and never forms the phase.  The core is pure NumPy, not a BLAS
+product: OpenBLAS gemm gives a row different bits in a 2-row and in a
+4,096-row call, so a signal's result would depend on its stack.
 """
 
 from dataclasses import dataclass
@@ -107,6 +116,16 @@ def make_window(kind: str, length: int) -> Window:
     return Window(kind=kind, coefficients=coeffs)
 
 
+def _index_violation(index, name: str) -> str | None:
+    """A shift or frame index (or an array of them) must have an integer
+    dtype; a float or bool index is rejected by name."""
+    index = np.asarray(index)
+    if index.dtype.kind in "iu":
+        return None
+    got = repr(index.flat[0].item()) if index.size else "an empty array"
+    return f"{name} must be an integer, got {got} (dtype {index.dtype})"
+
+
 def _check_frequency(k, n: int) -> int:
     if not isinstance(k, (int, np.integer)):
         raise ValidationError(f"frequency index must be an integer, got {k!r}")
@@ -123,6 +142,35 @@ def dft(x, k: int) -> complex:
     return complex(np.sum(x * np.exp(-2j * np.pi * k * np.arange(n) / n)))
 
 
+def _windowed_sums(x, w: Window, m, ks) -> tuple[np.ndarray, np.ndarray]:
+    """The transform before its per-shift phase: sum_j x[m + j - L//2] psi_j
+    exp(-2i pi (j - L//2) k / N) for every signal of the stack and every k.
+
+    The stack is flattened to S signals, the taps are gathered as (L, S),
+    and ``basis[j][:, None] * taps[j]`` is accumulated one tap at a time, in
+    tap order, into one (K, S) array: the long signal axis is innermost in
+    every multiply and add.  Returns that array as a shape + (K,) view, with
+    the table of N-th roots of unity.
+    """
+    x = np.asarray(x, dtype=float)
+    m = np.asarray(m)
+    ks = np.asarray(ks)
+    n = x.shape[-1]
+    shape = np.broadcast_shapes(x.shape[:-1], m.shape)
+    # signal s of the stack is row rows[s] of x, read at shift shifts[s]
+    rows = np.broadcast_to(np.arange(x[..., 0].size).reshape(x.shape[:-1]), shape).ravel()
+    shifts = np.broadcast_to(m, shape).ravel()
+    offsets = np.arange(w.length) - w.half
+    taps = x.reshape(-1)[rows * n + (shifts + offsets[:, None]) % n]
+    taps *= w.coefficients[:, None]
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    basis = roots[np.outer(offsets, ks) % n]
+    total = np.zeros((len(ks), len(shifts)), dtype=complex)
+    for j in range(w.length):
+        total += basis[j][:, None] * taps[j]
+    return total.T.reshape(shape + (len(ks),)), roots
+
+
 def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
     """Windowed transform of a stack of signals, one shift per signal.
 
@@ -133,28 +181,33 @@ def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
     complex exponential are both taken N-periodically, matching the
     periodic extension used throughout.  The exponential factors into a
     per-shift phase exp(-2i pi (m k mod N) / N) times one (L, K) basis,
-    both read from one table of the N-th roots of unity.
+    both read from one table of the N-th roots of unity.  The result is that
+    phase times the core windowed sums, which ``dstft_magnitudes`` reads
+    without the phase; the core keeps the stacked signals innermost.
 
     The taps are accumulated one at a time in a fixed order, so each signal
-    gets the same bits whatever is stacked beside it (a BLAS product would
-    not guarantee that).
+    gets the same bits whatever is stacked beside it.  A BLAS product would
+    not: OpenBLAS gemm gives a row different bits in a 2-row and in a
+    4,096-row call (L = 9, 2K = 514).
     """
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m)
-    ks = np.asarray(ks)
-    n = x.shape[-1]
-    shape = np.broadcast_shapes(x.shape[:-1], m.shape)
-    offsets = np.arange(w.length) - w.half
-    pos = (m[..., None] + offsets) % n
-    taps = np.take_along_axis(np.broadcast_to(x, shape + (n,)),
-                              np.broadcast_to(pos, shape + (w.length,)), axis=-1)
-    taps = taps * w.coefficients
-    roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    basis = roots[np.outer(offsets, ks) % n]
-    total = sum(taps[..., j, None] * basis[j] for j in range(w.length))
-    # Out of place: NumPy's in-place complex multiply rounds short arrays
-    # differently, which would make a signal's bits depend on the stack.
-    return roots[(m[..., None] * ks) % n] * total
+    sums, roots = _windowed_sums(x, w, m, ks)
+    phase = roots[(np.asarray(m)[..., None] * ks) % len(roots)]
+    # Out of place, into a C-ordered array (sums is a transposed view):
+    # NumPy's in-place complex multiply rounds short arrays differently,
+    # which would make a signal's bits depend on the stack.
+    return np.multiply(phase, sums, out=np.empty(sums.shape, dtype=complex))
+
+
+def dstft_magnitudes(x, w: Window, m, ks) -> np.ndarray:
+    """|dstft_bins(x, w, m, ks)|, in the same shape, without forming the phase.
+
+    The phase has modulus one, so this is the modulus of the core windowed
+    sums alone.  It matches np.abs of ``dstft_bins`` to rounding, not bit
+    for bit (that path rounds one more complex multiply), and each signal
+    gets the same bits whatever is stacked beside it.
+    """
+    sums, _ = _windowed_sums(x, w, m, ks)
+    return np.abs(sums, out=np.empty(sums.shape))  # C order, not the view's
 
 
 def dstft(x, w: Window, m: int, k: int) -> complex:
@@ -165,6 +218,8 @@ def dstft(x, w: Window, m: int, k: int) -> complex:
     """
     x = as_signal(x)
     k = _check_frequency(k, len(x))
+    if violation := _index_violation(m, "m"):
+        raise ValidationError(violation)
     return complex(dstft_bins(x, w, int(m), np.array([k]))[0])
 
 

@@ -1,5 +1,6 @@
 """Tests for tiara.attention: softmax, reweighting, motion intensity."""
 
+import re
 from math import log
 
 import numpy as np
@@ -9,6 +10,7 @@ from tiara import (ValidationError, alpha_from_closed_form, build_reweight_matri
                    conditioning, gen_homogeneous_attention, gen_inconsistent_values,
                    make_instance, make_schedule, make_window, motion_intensity,
                    motion_profile, reweighted_attention, softmax_rows, tiara)
+from tiara.attention import row_spectrum
 
 from oracles import algorithm_reference, closed_form_rows, naive_softmax, rho_reference
 
@@ -189,6 +191,17 @@ class TestMotionIntensity:
             motion_intensity(row, w, 0, 5, 4)
         with pytest.raises(ValidationError, match=r"^phi2 must be <= Npad//2 \+ 1 = 9, got 99$"):
             motion_intensity(row, w, 0, 0, 99)
+
+    @pytest.mark.parametrize("i, got", [(1.5, "1.5 (dtype float64)"), (True, "True (dtype bool)"),
+                                        (np.array([0.0, 1.0]), "0.0 (dtype float64)")])
+    def test_non_integer_frame_index_rejected(self, i, got):
+        # 1.5 raised a raw IndexError from the gather
+        w = make_window("hann", 5)
+        message = rf"^i must be an integer, got {re.escape(got)}$"
+        with pytest.raises(ValidationError, match=message):
+            row_spectrum(np.arange(8.0), w, i)
+        with pytest.raises(ValidationError, match=message):
+            motion_intensity(np.arange(8.0), w, i)
 
     def test_profile_collects_rows(self):
         rng = np.random.default_rng(28)

@@ -830,6 +830,16 @@ class TestBlendCommand:
         assert code == 2
         assert capsys.readouterr().err == f"tiara: timestep must be finite, got {timestep}\n"
 
+    def test_negative_layer_rejected(self, tmp_path, blend_files, capsys):
+        prompts, spans, tokens, embeddings, _ = blend_files
+        code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                       "--tokens", tokens, "--embeddings", embeddings,
+                       "--output", tmp_path / "cond.tf", "--frame", 100,
+                       "--timestep", 0.5, "--layer", -1)
+        assert code == 2
+        assert capsys.readouterr().err == "tiara: layer must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "cond.tf").exists()
+
     def test_span_count_mismatch(self, tmp_path, blend_files, capsys):
         prompts, spans, tokens, embeddings, _ = blend_files
         spans.write_text("0 50\n")

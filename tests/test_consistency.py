@@ -1,6 +1,8 @@
 """Tests for tiara.consistency: inconsistency error, dynamic components,
 homogeneity and separation measurements."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from tiara import (ValidationError, consistency, dynamic_component, estimate_kap
                    homogeneity_deviation, inconsistency_error,
                    inconsistency_profile, make_window, softmax_rows)
 from tiara.consistency import high_band, separation
-from tiara.spectral import dstft_bins
+from tiara.spectral import dstft_magnitudes
 
 from oracles import naive_dstft
 
@@ -103,6 +105,17 @@ class TestHighBand:
         with pytest.raises(ValidationError, match="k_threshold"):
             high_band(np.ones(8), make_window("hann", 3), 5)
 
+    @pytest.mark.parametrize("tau, got", [(1.5, "1.5 (dtype float64)"), (np.nan, "nan (dtype float64)"),
+                                          (True, "True (dtype bool)")])
+    def test_non_integer_shift_rejected(self, tau, got):
+        # nan raised a plain ValueError from int(), and 1.5 was truncated to 1
+        w = make_window("hann", 3)
+        message = rf"^tau must be an integer, got {re.escape(got)}$"
+        with pytest.raises(ValidationError, match=message):
+            high_band(np.arange(8.0), w, 2, tau)
+        with pytest.raises(ValidationError, match=message):
+            inconsistency_error(np.arange(8.0), w, tau, 2)
+
     # one shift per block; three shifts per block, the last block partial
     @pytest.mark.parametrize("shifts_per_block", [1, 3])
     def test_blocks_give_the_bits_of_one_transform(self, monkeypatch, shifts_per_block):
@@ -110,7 +123,7 @@ class TestHighBand:
         w = make_window("blackman", 7)
         ks = np.arange(3, 11)
         monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * len(ks) * shifts_per_block)
-        expected = np.abs(dstft_bins(x, w, np.arange(20), ks))
+        expected = dstft_magnitudes(x, w, np.arange(20), ks)
         assert np.array_equal(high_band(x, w, 3), expected)
         assert np.array_equal(high_band(x, w, 3, 7), expected[7])
 
@@ -124,6 +137,18 @@ class TestSeparation:
 
     def test_nothing_kept_is_zero(self):
         assert separation(np.zeros((3, 2)), np.ones((3, 2))) == 0.0
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-12, np.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # tol = nan skipped every position and read as perfect separation (0.0)
+        message = f"^tol must be finite and >= 0, got {tol}$"
+        with pytest.raises(ValidationError, match=message):
+            separation(np.ones((3, 2)), np.ones((3, 2)), tol)
+        with pytest.raises(ValidationError, match=message):
+            estimate_kappa(np.arange(8.0), np.arange(8.0), make_window("hann", 5), 2, tol)
+
+    def test_zero_tolerance_keeps_every_position(self):
+        assert separation(np.array([[1e-300, 2.0]]), np.array([[1e-301, 1.0]]), 0.0) == 0.5
 
 
 class TestDynamicComponent:

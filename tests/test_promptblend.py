@@ -272,6 +272,13 @@ class TestConditioning:
         with pytest.raises(ValidationError, match=f"^{message}"):
             conditioning(schedule, embedded, n, 0.5, 0)
 
+    @pytest.mark.parametrize("d", [np.nan, 2.5, -1])
+    def test_layer_must_be_an_integer(self, blend_setup, d):
+        # NaN returned the unblended prompt, and -1 was accepted
+        schedule, embedded = blend_setup
+        with pytest.raises(ValidationError, match=f"^d must be an integer >= 0, got {d}$"):
+            conditioning(schedule, embedded, 100, 0.0, d)
+
 
 class TestConditioningFrameArrays:
     """An array of frames gives the stack of the single-frame results."""

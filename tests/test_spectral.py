@@ -1,10 +1,12 @@
 """Tests for tiara.spectral: transforms, windows, periodic padding."""
 
+import re
+
 import numpy as np
 import pytest
 
 from tiara import ValidationError, dft, dstft, make_window, pad_periodic, spectrogram
-from tiara.spectral import WINDOW_KINDS, dstft_bins
+from tiara.spectral import WINDOW_KINDS, dstft_bins, dstft_magnitudes
 
 from oracles import naive_dft, naive_dstft
 
@@ -80,20 +82,67 @@ class TestDstft:
 
     def test_stacked_signals_match_single_calls(self):
         # each signal gets the same bits whatever is stacked beside it,
-        # down to a single frequency bin
+        # down to a single frequency bin, in both kernels
         rng = np.random.default_rng(7)
-        for n in (3, 10, 21, 67):
-            for kind, length in [("rectangular", 1), ("hann", 4), ("blackman", 8), ("gaussian", 11)]:
-                w = make_window(kind, length)
-                x = rng.standard_normal((3, n))
-                m = rng.integers(-n, 2 * n, size=3)
-                for ks in (np.arange(n // 2 + 1), np.array([n // 2])):
-                    stacked = dstft_bins(x, w, m, ks)
-                    for s in range(3):
-                        assert np.array_equal(stacked[s], dstft_bins(x[s], w, int(m[s]), ks))
-                    shifts = dstft_bins(x[0], w, np.arange(n), ks)
-                    for tau in range(n):
-                        assert np.array_equal(shifts[tau], dstft_bins(x[0], w, tau, ks))
+        for kernel in (dstft_bins, dstft_magnitudes):
+            for n in (3, 10, 21, 67):
+                for kind, length in [("rectangular", 1), ("hann", 4), ("blackman", 8), ("gaussian", 11)]:
+                    w = make_window(kind, length)
+                    x = rng.standard_normal((3, n))
+                    m = rng.integers(-n, 2 * n, size=3)
+                    for ks in (np.arange(n // 2 + 1), np.array([n // 2])):
+                        stacked = kernel(x, w, m, ks)
+                        for s in range(3):
+                            assert np.array_equal(stacked[s], kernel(x[s], w, int(m[s]), ks))
+                        shifts = kernel(x[0], w, np.arange(n), ks)
+                        for tau in range(n):
+                            assert np.array_equal(shifts[tau], kernel(x[0], w, tau, ks))
+            # the field_reweight shape: 4,096 padded rows of 16 frames, 13 bins;
+            # the SIMD split of every multiply and add falls on the signal axis
+            x = rng.standard_normal((16, 256, 24))
+            w = make_window("blackman", 9)
+            m = rng.integers(4, 20, size=256)
+            ks = np.arange(13)
+            stacked = kernel(x, w, m, ks)
+            assert stacked.shape == (16, 256, 13)
+            for h in range(16):
+                for s in range(256):
+                    assert np.array_equal(stacked[h, s], kernel(x[h, s], w, int(m[s]), ks))
+
+    def test_magnitudes_match_naive_oracle(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(24)
+        for kind, length in [("blackman", 9), ("hann", 6), ("gaussian", 5)]:
+            w = make_window(kind, length)
+            coeffs = list(w.coefficients)
+            got = dstft_magnitudes(x, w, np.arange(24), np.arange(24))
+            for m in range(24):
+                for k in range(24):
+                    expected = abs(naive_dstft(list(x), coeffs, m, k))
+                    assert abs(got[m, k] - expected) <= 1e-12 * max(1.0, expected)
+
+    def test_magnitudes_are_the_modulus_of_the_transform(self):
+        # only the unit-modulus phase is skipped, so the two differ by the
+        # rounding of one complex multiply and one modulus
+        rng = np.random.default_rng(13)
+        for n in (5, 16, 64):
+            x = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-12, 3, size=(4, 1))
+            w = make_window("hann", 7)
+            m = rng.integers(-n, 2 * n, size=(3, 1))
+            ks = np.arange(n)
+            want = np.abs(dstft_bins(x, w, m, ks))
+            got = dstft_magnitudes(x, w, m, ks)
+            assert got.shape == want.shape == (3, 4, n)
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("m, got", [(1.5, "1.5 (dtype float64)"), (True, "True (dtype bool)"),
+                                        (np.float64(2.0), "2.0 (dtype float64)"),
+                                        (np.nan, "nan (dtype float64)")])
+    def test_non_integer_shift_rejected(self, m, got):
+        # 1.5 and True were taken as shift 1
+        w = make_window("hann", 3)
+        with pytest.raises(ValidationError, match=rf"^m must be an integer, got {re.escape(got)}$"):
+            dstft(np.arange(6.0), w, m, 2)
 
     def test_conjugate_symmetry_for_real_input(self):
         rng = np.random.default_rng(4)

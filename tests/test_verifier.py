@@ -212,13 +212,13 @@ class TestVerifyTheorem:
     def test_four_transforms_per_instance(self, monkeypatch):
         # one high-band table each for x, x_dyn, y and y_dyn
         calls = []
-        real = consistency.dstft_bins
+        real = consistency.dstft_magnitudes
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(consistency, "dstft_bins", counting)
+        monkeypatch.setattr(consistency, "dstft_magnitudes", counting)
         verify_theorem(self._instance(32))
         assert calls == [(32,)] * 4
 
