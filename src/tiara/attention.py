@@ -15,8 +15,8 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ValidationError
-from .spectral import Window, _index_violation, as_square, dstft_magnitudes
+from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
+from .spectral import Window, as_square, dstft_magnitudes
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,8 @@ def reweighted_attention(logits, penalty, values):
     if frames != logits.shape[:-1]:
         raise ValidationError(
             f"values shape {values.shape} does not match logits shape {logits.shape}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValidationError("values must be finite; first non-finite entry at "
-                              f"index {tuple(np.argwhere(~finite)[0].tolist())}")
+    if violation := _finite_array_rule(values, "values"):
+        raise ValidationError(violation)
     attention = softmax_rows(logits + lam)
     return attention, attention @ values
 
@@ -121,15 +119,11 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     """
     row = np.asarray(row, dtype=float)
     n = row.shape[-1]
-    if violation := _index_violation(i, "i"):
+    if violation := _integer_rule(i, "i", arrays=True) or _finite_array_rule(row, "attention rows"):
         raise ValidationError(violation)
     i = np.asarray(i)
     if np.any((i < 0) | (i >= n)):
         raise ValidationError(f"row index {i} out of range [0, {n})")
-    finite = np.isfinite(row)
-    if not finite.all():
-        raise ValidationError("attention rows must be finite; first non-finite entry at "
-                              f"index {tuple(np.argwhere(~finite)[0].tolist())}")
     half = window.half
     deviation = row - row.mean(axis=-1, keepdims=True)
     padded = deviation[..., np.arange(-half, n + half) % n]
@@ -138,14 +132,12 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
 
 
 def _strength_violation(value, name: str) -> str | None:
-    if value is None or 0.0 <= value < np.inf:  # None is unset; NaN fails both comparisons
-        return None
-    return f"{name} must be finite and >= 0, got {value}"
+    return None if value is None else _finite_rule(value, name, 0)  # None is unset
 
 
 def _corner_size_violation(size, name: str, n: int | None = None) -> str | None:
-    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 0):
-        return f"{name} must be an integer >= 0, got {size}"
+    if size is not None and (violation := _integer_rule(size, name, 0)):
+        return violation
     if size is not None and n is not None and not size <= n // 2:
         return f"{name} must be <= N//2 = {n // 2}, got {size}"
     return None
@@ -154,8 +146,8 @@ def _corner_size_violation(size, name: str, n: int | None = None) -> str | None:
 def _band_violation(phi1, phi2, npad: int | None = None) -> str | None:
     """Each None (unset) or an integer; with Npad known, phi2 <= Npad//2 + 1."""
     for phi, name, low in ((phi1, "phi1", 0), (phi2, "phi2", 1)):
-        if phi is not None and not (isinstance(phi, (int, np.integer)) and phi >= low):
-            return f"{name} must be an integer >= {low}, got {phi}"
+        if phi is not None and (violation := _integer_rule(phi, name, low)):
+            return violation
     if phi1 is not None and phi2 is not None and not phi1 < phi2:
         return f"phi1 must be < phi2, got {phi1} >= {phi2}"
     if phi2 is not None and npad is not None and not phi2 <= npad // 2 + 1:
@@ -192,6 +184,8 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
     motion by definition and return 0.0 exactly, as does a vanishing spectrum.
     """
     row = np.asarray(row, dtype=float)
+    if violation := _integer_rule(i, "i"):  # one row, one frame: row_spectrum also takes arrays
+        raise ValidationError(violation)
     phi1, phi2 = _band(len(row), window, phi1, phi2)
     return float(_high_band_fraction(row, row_spectrum(row, window, i), phi1, phi2))
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from .attention import as_field, motion_profile, softmax_rows, tiara
 from .config import CONFIG_KEYS, Config, load_config, validate_config
-from .errors import ConfigError, TensorFileError, ValidationError
-from .promptblend import (TokenTable, _layer_violation, _time_violation, align,
-                          conditioning, embed_aligned, make_schedule, parse_organized)
+from .errors import ConfigError, TensorFileError, ValidationError, _finite_rule
+from .promptblend import (TokenTable, _layer_rule, align, conditioning, embed_aligned,
+                          make_schedule, parse_organized)
 from .tensorfile import Blocks, read_tensor, write_tensor
 from .verifier import (format_report, gen_homogeneous_attention,
                        gen_inconsistent_values, make_instance, require_feasible,
@@ -140,8 +140,8 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_blend(args) -> int:
     config = _resolve_config(args)
-    if violation := (_time_violation(args.timestep, "timestep")
-                     or _layer_violation(args.layer, "layer")):
+    if violation := (_finite_rule(args.timestep, "timestep")
+                     or _layer_rule(args.layer, "layer")):
         raise ConfigError(violation)
     with open(args.tokens, "r", encoding="utf-8") as handle:
         table = TokenTable.from_lines(handle)
@@ -167,7 +167,8 @@ def cmd_blend(args) -> int:
             try:
                 spans.append((int(parts[0]), int(parts[1])))
             except ValueError:
-                raise ValidationError(f"{args.spans}:{lineno}: spans must be integers")
+                raise ValidationError(f"{args.spans}:{lineno}: spans must be integers, "
+                                      f"got {stripped!r}") from None
     if len(spans) != len(prompts):
         raise ValidationError(f"{len(prompts)} prompts but {len(spans)} frame spans")
     embedding_table = read_tensor(args.embeddings)

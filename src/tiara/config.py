@@ -48,13 +48,13 @@ def validate_config(config: Config) -> Config:
                       attention._corner_size_violation(config.corner_size, "corner_size"),
                       attention._strength_violation(config.corner_penalty, "corner_penalty"),
                       spectral._kind_violation(config.window_kind, "window.kind"),
-                      spectral._length_violation(config.window_length, "window.length"),
+                      spectral._window_length_rule(config.window_length, "window.length"),
                       attention._band_violation(config.phi1, config.phi2),
                       consistency._k_threshold_violation(config.k_threshold, "k_threshold"),
                       verifier._eta_violation(config.eta, "eta"),
                       promptblend._t_window_violation(config.t1, config.t2),
-                      promptblend._layer_violation(config.layer_threshold, "layer_threshold"),
-                      verifier._seed_violation(config.seed, "seed")):
+                      promptblend._layer_rule(config.layer_threshold, "layer_threshold"),
+                      verifier._seed_rule(config.seed, "seed")):
         if violation:
             raise ConfigError(violation)
     return config

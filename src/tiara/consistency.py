@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .spectral import Window, _index_violation, as_signal, as_square, dstft_magnitudes
+from .errors import ValidationError, _finite_rule, _integer_rule
+from .spectral import Window, as_signal, as_square, dstft_magnitudes
 
 KAPPA_TOLERANCE = 1e-12
 
@@ -26,10 +26,10 @@ class InconsistencyReport:
 
 
 def _k_threshold_violation(k_t, name: str, n: int | None = None) -> str | None:
-    if not (isinstance(k_t, (int, np.integer)) and k_t >= 1):
-        return f"{name} must be an integer >= 1, got {k_t!r}"
+    if violation := _integer_rule(k_t, name, 1):
+        return violation
     if n is not None and not k_t <= n // 2:
-        return f"{name} must be <= N//2 = {n // 2}, got {k_t!r}"
+        return f"{name} must be <= N//2 = {n // 2}, got {k_t}"
     return None
 
 
@@ -42,10 +42,10 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     x = as_signal(x)
     n = len(x)
     if violation := (_k_threshold_violation(k_t, "k_threshold", n)
-                     or (tau is not None and _index_violation(tau, "tau"))):
+                     or (tau is not None and _integer_rule(tau, "tau"))):
         raise ValidationError(violation)
     ks = np.arange(k_t, n // 2 + 1)
-    taus = np.arange(n) if tau is None else int(tau)
+    taus = np.arange(n) if tau is None else int(tau) % n
     per_block = max(1, _BLOCK_BYTES // (16 * len(ks)))
     if np.size(taus) <= per_block:  # one block: its own array, no table to fill
         return dstft_magnitudes(x, w, taus, ks)
@@ -56,17 +56,11 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     return table
 
 
-def _tolerance_violation(tol, name: str) -> str | None:
-    if 0.0 <= tol < np.inf:  # NaN fails both comparisons
-        return None
-    return f"{name} must be finite and >= 0, got {tol}"
-
-
 def separation(mag_x, mag_d, tol: float = KAPPA_TOLERANCE) -> float:
     """Largest ratio mag_d / mag_x over the positions where mag_x >= tol,
     or 0 if there are none (the bound is vacuous where x has no power).
     ``tol`` must be finite and >= 0."""
-    if violation := _tolerance_violation(tol, "tol"):
+    if violation := _finite_rule(tol, "tol", 0):
         raise ValidationError(violation)
     keep = mag_x >= tol
     return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0

@@ -10,11 +10,11 @@ text model is involved.
 """
 
 from dataclasses import dataclass
-from math import isfinite
+from functools import partial
 
 import numpy as np
 
-from .errors import AlignmentError, PromptParseError, ValidationError
+from .errors import AlignmentError, PromptParseError, ValidationError, _finite_rule, _integer_rule
 
 COMPONENT_NAMES = ("subject", "action", "place", "time", "quality")
 COMPONENT_COUNT = len(COMPONENT_NAMES)
@@ -161,56 +161,44 @@ def embed_aligned(aligned: AlignedPromptSet, embedding_table) -> np.ndarray:
     return table[tokens]
 
 
-def _time_violation(t, name: str) -> str | None:
-    return None if isfinite(t) else f"{name} must be finite, got {t}"
-
-
 def _t_window_violation(t1, t2) -> str | None:
-    return (_time_violation(t1, "t1") or _time_violation(t2, "t2")
+    return (_finite_rule(t1, "t1") or _finite_rule(t2, "t2")
             or (None if t1 <= t2 else f"t1 must be <= t2, got {t1} > {t2}"))
 
 
-def _layer_violation(layer, name: str) -> str | None:
-    if isinstance(layer, (int, np.integer)) and layer >= 0:
-        return None
-    return f"{name} must be an integer >= 0, got {layer}"
+_layer_rule = partial(_integer_rule, low=0)
 
 
 def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
+    segments = tuple(segments)
+    for s, e in segments:
+        if violation := (_integer_rule(s, "span start") or _integer_rule(e, "span end")
+                         or (None if s <= e else f"span start {s} exceeds span end {e}")):
+            raise ValidationError(violation)
     segments = tuple((int(s), int(e)) for s, e in segments)
     if not segments:
         raise ValidationError("at least one frame span is required")
-    for s, e in segments:
-        if s > e:
-            raise ValidationError(f"span start {s} exceeds span end {e}")
     for (s0, e0), (s1, e1) in zip(segments, segments[1:]):
         if not e0 < s1:
             raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
     t1, t2 = float(t_window[0]), float(t_window[1])
     if violation := (_t_window_violation(t1, t2)
-                     or _layer_violation(layer_threshold, "layer_threshold")):
+                     or _layer_rule(layer_threshold, "layer_threshold")):
         raise ValidationError(violation)
     return BlendSchedule(segments=segments, t_window=(t1, t2),
                          layer_threshold=int(layer_threshold),
                          total_frames=segments[-1][1])
 
 
-def _integer_frames(n) -> np.ndarray:
-    """n as an integer array; a float or bool frame is rejected by name."""
-    frames = np.asarray(n)
-    if frames.dtype.kind not in "iu":
-        if not frames.size:
-            raise ValidationError(f"frames must be integers, got an empty {frames.dtype} array")
-        raise ValidationError(f"frame {frames.flat[0]} is not an integer (dtype {frames.dtype})")
-    return frames
-
-
 def interpolation_weight(n, n_end: int, next_start: int):
     """Linear position of frame n, or of each frame in an integer array n,
     inside the transition (n_end, next_start)."""
+    if violation := (_integer_rule(n_end, "n_end") or _integer_rule(next_start, "next_start")
+                     or _integer_rule(n, "frame", arrays=True)):
+        raise ValidationError(violation)
     if next_start <= n_end:
         raise ValidationError(f"next span start {next_start} must exceed span end {n_end}")
-    frames = _integer_frames(n)
+    frames = np.asarray(n)
     bad = frames[~((n_end <= frames) & (frames <= next_start))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} outside transition window [{n_end}, {next_start}]")
@@ -241,11 +229,13 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     if embedded.shape[0] != len(schedule.segments):
         raise ValidationError(
             f"{embedded.shape[0]} embedded prompts but {len(schedule.segments)} spans")
-    frames = _integer_frames(n)
+    if violation := _integer_rule(n, "frame", arrays=True):
+        raise ValidationError(violation)
+    frames = np.asarray(n)
     bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
-    if violation := _time_violation(t, "t") or _layer_violation(d, "d"):
+    if violation := _finite_rule(t, "t") or _layer_rule(d, "d"):
         raise ValidationError(violation)
     if out is not None:
         shape = frames.shape + embedded.shape[1:]

@@ -17,10 +17,11 @@ product: OpenBLAS gemm gives a row different bits in a 2-row and in a
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite_array_rule, _integer_rule
 
 WINDOW_KINDS = ("rectangular", "hann", "gaussian", "blackman")
 
@@ -60,8 +61,8 @@ def as_signal(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValidationError(f"signal must be a 1-D sequence of length >= 1, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("signal values must all be finite")
+    if violation := _finite_array_rule(x, "signal"):
+        raise ValidationError(violation)
     return x
 
 
@@ -79,10 +80,7 @@ def _kind_violation(kind, name: str) -> str | None:
     return None if kind in WINDOW_KINDS else f"unknown {name} {kind!r}; expected one of {WINDOW_KINDS}"
 
 
-def _length_violation(length, name: str) -> str | None:
-    if isinstance(length, (int, np.integer)) and length >= 1:
-        return None
-    return f"{name} must be an integer >= 1, got {length!r}"
+_window_length_rule = partial(_integer_rule, low=1)
 
 
 def make_window(kind: str, length: int) -> Window:
@@ -95,7 +93,7 @@ def make_window(kind: str, length: int) -> Window:
     symmetrised exactly (coeff[j] == coeff[L-1-j] bit-for-bit) and clipped
     to [0, 1] to absorb sign noise at endpoints that are zero analytically.
     """
-    if violation := _kind_violation(kind, "window kind") or _length_violation(length, "window length"):
+    if violation := _kind_violation(kind, "window kind") or _window_length_rule(length, "window length"):
         raise ValidationError(violation)
     length = int(length)
     if length == 1 or kind == "rectangular":
@@ -116,19 +114,9 @@ def make_window(kind: str, length: int) -> Window:
     return Window(kind=kind, coefficients=coeffs)
 
 
-def _index_violation(index, name: str) -> str | None:
-    """A shift or frame index (or an array of them) must have an integer
-    dtype; a float or bool index is rejected by name."""
-    index = np.asarray(index)
-    if index.dtype.kind in "iu":
-        return None
-    got = repr(index.flat[0].item()) if index.size else "an empty array"
-    return f"{name} must be an integer, got {got} (dtype {index.dtype})"
-
-
 def _check_frequency(k, n: int) -> int:
-    if not isinstance(k, (int, np.integer)):
-        raise ValidationError(f"frequency index must be an integer, got {k!r}")
+    if violation := _integer_rule(k, "frequency index"):
+        raise ValidationError(violation)
     if not 0 <= k < n:
         raise ValidationError(f"frequency index {k} out of range [0, {n})")
     return int(k)
@@ -218,17 +206,17 @@ def dstft(x, w: Window, m: int, k: int) -> complex:
     """
     x = as_signal(x)
     k = _check_frequency(k, len(x))
-    if violation := _index_violation(m, "m"):
+    if violation := _integer_rule(m, "m"):
         raise ValidationError(violation)
-    return complex(dstft_bins(x, w, int(m), np.array([k]))[0])
+    return complex(dstft_bins(x, w, int(m) % len(x), np.array([k]))[0])
 
 
 def pad_periodic(x, left: int, right: int) -> np.ndarray:
     """Extend a signal by wrapping: prepend the last ``left`` samples and
     append the first ``right`` (repeating whole periods as needed)."""
     x = as_signal(x)
-    if left < 0 or right < 0:
-        raise ValidationError("pad counts must be >= 0")
+    if violation := _integer_rule(left, "left", 0) or _integer_rule(right, "right", 0):
+        raise ValidationError(violation)
     idx = np.arange(-int(left), len(x) + int(right)) % len(x)
     return x[idx]
 

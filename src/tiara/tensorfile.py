@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import TensorFileError, ValidationError
+from .errors import TensorFileError, ValidationError, _integer_rule
 
 MAGIC = b"TIAR"
 VERSION = 1
@@ -41,9 +41,12 @@ def write_tensor(path, array) -> None:
     if not isinstance(array, Blocks):
         array = np.asarray(array, dtype="<f8")
         array = Blocks(array.shape, [array])
+    if not 1 <= len(array.shape) <= MAX_RANK:
+        raise ValidationError(f"tensor rank must be in [1, {MAX_RANK}], got {len(array.shape)}")
+    for n in array.shape:
+        if violation := _integer_rule(n, "tensor dimension", 0):
+            raise ValidationError(violation)
     shape = tuple(int(n) for n in array.shape)
-    if not 1 <= len(shape) <= MAX_RANK:
-        raise ValidationError(f"tensor rank must be in [1, {MAX_RANK}], got {len(shape)}")
     expected, written = 8 * prod(shape), 0
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tiara-{os.urandom(8).hex()}")

@@ -23,12 +23,13 @@ N x N array beyond the attention map and fixed-size transform blocks, so
 """
 
 from dataclasses import dataclass
-from math import isfinite, log
+from functools import partial
+from math import log
 
 import numpy as np
 
 from .consistency import high_band, homogeneity_deviation, separation
-from .errors import ValidationError
+from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
 from .spectral import Window, as_square
 
 E_TOLERANCE = 1e-12
@@ -62,11 +63,9 @@ def _violation(kappa: float, eta: float, a_min: float, name: str) -> str | None:
     worded with ``name`` for kappa, or None.  Given the last two checks,
     1 - kappa - a_min * eta > 1 - eta > 0: the closed form's numerator is
     positive whenever its denominator is."""
-    for label, value in ((name, kappa), ("eta", eta), ("a_min", a_min)):
-        if not isfinite(value):
-            return f"{label} must be finite, got {value}"
-    if kappa < 0.0:
-        return f"{name} must be >= 0, got {kappa}"
+    if violation := (_finite_rule(kappa, name, 0) or _finite_rule(eta, "eta")
+                     or _finite_rule(a_min, "a_min")):
+        return violation
     if not kappa < 1.0 - a_min:
         return f"infeasible: {name} < 1 - a_min violated ({kappa} >= {1.0 - a_min})"
     if not 0.0 <= a_min < 1.0:
@@ -84,10 +83,7 @@ def _eta_violation(eta, name: str) -> str | None:
     return None if 0.0 < eta < 1.0 else f"{name} must lie in (0, 1), got {eta}"
 
 
-def _seed_violation(seed, name: str) -> str | None:
-    if isinstance(seed, (int, np.integer)) and seed >= 0:
-        return None
-    return f"{name} must be an integer >= 0, got {seed}"
+_seed_rule = partial(_integer_rule, low=0)
 
 
 def alpha_from_closed_form(kappa: float, eta: float, a_min: float) -> float:
@@ -109,10 +105,8 @@ def gen_homogeneous_attention(n: int, decay: float) -> np.ndarray:
     attention weight decays as exp(-decay * d) with the frame separation.
     decay = 0 gives uniform attention; large decay approaches the identity.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    if not 0.0 <= decay < np.inf:  # NaN fails both comparisons
-        raise ValidationError(f"decay must be finite and >= 0, got {decay}")
+    if violation := _integer_rule(n, "n", 2) or _finite_rule(decay, "decay", 0):
+        raise ValidationError(violation)
     n = int(n)
     k = np.arange(n, dtype=float)
     first = -float(decay) * np.minimum(k, n - k)  # row 0: circular distance to frame 0
@@ -130,12 +124,9 @@ def gen_inconsistent_values(n: int, b_v: float, hf_amplitude: float, seed: int) 
     a seed-derived phase; with hf_amplitude = b_v it vanishes and the result
     is a pure Nyquist tone scaled to b_v.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    if violation := _seed_violation(seed, "seed"):
+    if violation := (_integer_rule(n, "n", 2) or _seed_rule(seed, "seed")
+                     or _finite_rule(b_v, "b_v")):
         raise ValidationError(violation)
-    if not isfinite(b_v):
-        raise ValidationError(f"b_v must be finite, got {b_v}")
     if not 0.0 < hf_amplitude <= b_v:
         raise ValidationError(
             f"hf_amplitude must satisfy 0 < hf_amplitude <= b_v, got {hf_amplitude} vs {b_v}")
@@ -196,7 +187,7 @@ def make_instance(attention, values, window: Window, k_t: int, eta: float) -> Th
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
         raise ValidationError(
             f"values must be a vector of length {a.shape[0]}, got shape {v.shape}")
-    if violation := _eta_violation(eta, "eta"):
+    if violation := _finite_array_rule(v, "values") or _eta_violation(eta, "eta"):
         raise ValidationError(violation)
     x = a @ v
     d = np.diag(a)

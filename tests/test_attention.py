@@ -250,7 +250,8 @@ class TestBuildReweightMatrix:
     @pytest.mark.parametrize("size", [1.5, np.float64(1.0), np.nan])
     def test_non_integer_corner_rejected(self, size):
         # 1.5 used to build the corner_size = 2 matrix and record corner_size = 1
-        with pytest.raises(ValidationError, match=f"^corner_size must be an integer >= 0, got {size}$"):
+        with pytest.raises(ValidationError,
+                           match=rf"^corner_size must be an integer >= 0, got {size} \(dtype float64\)$"):
             build_reweight_matrix(np.ones(4), 1.0, size, 1.0)
 
     def test_defaults_are_those_of_tiara(self):

@@ -502,6 +502,17 @@ class TestInputPolicy:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_verify_theorem_names_a_non_finite_value(self, tmp_path, capsys):
+        # was "signal values must all be finite", which named neither input nor index
+        values = gen_inconsistent_values(8, 1.0, 1e-4, 0)
+        values[3] = np.nan
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, gen_homogeneous_attention(8, 1.0))
+        write_tensor(vp, values)
+        assert run_cli("verify-theorem", "--logits", lp, "--values", vp) == 2
+        assert capsys.readouterr().err == \
+            "tiara: values must be finite; first non-finite entry at index (3,)\n"
+
     def test_verify_theorem_names_a_fully_masked_row(self, tmp_path, capsys):
         logits = gen_homogeneous_attention(8, 1.0)
         logits[3, :] = -np.inf
@@ -819,6 +830,16 @@ class TestBlendCommand:
                        "--timestep", 0.5, "--layer", 0)
         assert code == 2
         assert ":2:" in capsys.readouterr().err
+
+    def test_bad_span_line_names_its_text(self, tmp_path, blend_files, capsys):
+        prompts, spans, tokens, embeddings, _ = blend_files
+        spans.write_text("0 50\n1 x\n")
+        code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                       "--tokens", tokens, "--embeddings", embeddings,
+                       "--output", tmp_path / "cond.tf", "--frame", 0,
+                       "--timestep", 0.5, "--layer", 0)
+        assert code == 2
+        assert capsys.readouterr().err == f"tiara: {spans}:2: spans must be integers, got '1 x'\n"
 
     @pytest.mark.parametrize("timestep", ["nan", "inf", "-inf"])
     def test_non_finite_timestep_rejected(self, tmp_path, blend_files, capsys, timestep):

@@ -1,0 +1,115 @@
+"""One integer rule for every public integer parameter and index.
+
+An integer is a Python int that is not a bool (of any size), a NumPy
+integer, or an integer-dtype array; a bool or a float is rejected by name
+and never truncated.  The rule lives in ``tiara.errors`` alone.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tiara
+from tiara import (ValidationError, build_reweight_matrix, conditioning, dft, dstft,
+                   gen_homogeneous_attention, gen_inconsistent_values, inconsistency_error,
+                   inconsistency_profile, interpolation_weight, make_schedule, make_window,
+                   motion_intensity, pad_periodic, row_spectrum, write_tensor)
+from tiara.tensorfile import Blocks
+
+_X = np.arange(8.0)
+_W = make_window("hann", 3)
+_SCHEDULE = make_schedule([(0, 4), (8, 12)], (0.6, 1.0), 8)
+_EMBEDDED = np.zeros((2, 3, 2))
+
+# (function, name in the message, its bound, call with the parameter set to v, a valid value)
+INTEGER_PARAMETERS = [
+    ("make_window", "window length", " >= 1", lambda v: make_window("hann", v), 5),
+    ("build_reweight_matrix", "corner_size", " >= 0",
+     lambda v: build_reweight_matrix(np.ones(8), 1.0, v), 2),
+    ("motion_intensity", "phi1", " >= 0", lambda v: motion_intensity(_X, _W, 0, v), 1),
+    ("motion_intensity", "phi2", " >= 1", lambda v: motion_intensity(_X, _W, 0, 0, v), 3),
+    ("inconsistency_profile", "k_threshold", " >= 1", lambda v: inconsistency_profile(_X, _W, v), 2),
+    ("make_schedule", "layer_threshold", " >= 0",
+     lambda v: make_schedule([(0, 4)], (0.6, 1.0), v), 8),
+    ("conditioning", "d", " >= 0", lambda v: conditioning(_SCHEDULE, _EMBEDDED, 6, 0.0, v), 0),
+    ("gen_inconsistent_values", "seed", " >= 0", lambda v: gen_inconsistent_values(8, 1.0, 1e-4, v), 3),
+    ("gen_homogeneous_attention", "n", " >= 2", lambda v: gen_homogeneous_attention(v, 1.0), 8),
+    ("gen_inconsistent_values", "n", " >= 2", lambda v: gen_inconsistent_values(v, 1.0, 1e-4, 0), 8),
+    ("dstft", "m", "", lambda v: dstft(_X, _W, v, 1), 2),
+    ("row_spectrum", "i", "", lambda v: row_spectrum(_X, _W, v), 2),
+    ("motion_intensity", "i", "", lambda v: motion_intensity(_X, _W, v), 2),
+    ("inconsistency_error", "tau", "", lambda v: inconsistency_error(_X, _W, v, 2), 3),
+    ("dft", "frequency index", "", lambda v: dft(_X, v), 2),
+    ("dstft", "frequency index", "", lambda v: dstft(_X, _W, 0, v), 2),
+    ("conditioning", "frame", "", lambda v: conditioning(_SCHEDULE, _EMBEDDED, v, 0.5, 0), 6),
+    ("interpolation_weight", "frame", "", lambda v: interpolation_weight(v, 5, 8), 6),
+    ("pad_periodic", "left", " >= 0", lambda v: pad_periodic(_X, v, 0), 2),
+    ("pad_periodic", "right", " >= 0", lambda v: pad_periodic(_X, 0, v), 2),
+    ("make_schedule", "span start", "", lambda v: make_schedule([(v, 4)], (0.6, 1.0), 8), 0),
+    ("make_schedule", "span end", "", lambda v: make_schedule([(0, v)], (0.6, 1.0), 8), 4),
+    ("interpolation_weight", "n_end", "", lambda v: interpolation_weight(6, v, 8), 5),
+    ("interpolation_weight", "next_start", "", lambda v: interpolation_weight(6, 5, v), 8),
+]
+_IDS = [f"{function}-{name}" for function, name, *_ in INTEGER_PARAMETERS]
+
+
+@pytest.mark.parametrize("value, got", [(True, "True (dtype bool)"), (np.True_, "True (dtype bool)"),
+                                        (1.5, "1.5 (dtype float64)"), (np.nan, "nan (dtype float64)")],
+                         ids=["True", "np.True_", "1.5", "nan"])
+@pytest.mark.parametrize("function, name, bound, call, valid", INTEGER_PARAMETERS, ids=_IDS)
+def test_non_integer_rejected_by_name(function, name, bound, call, valid, value, got):
+    # True ran as 1 wherever the check was isinstance(v, (int, np.integer))
+    message = f"{name} must be an integer{bound}, got {got}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("function, name, bound, call, valid", INTEGER_PARAMETERS, ids=_IDS)
+def test_numpy_integer_accepted(function, name, bound, call, valid):
+    call(np.int64(valid))
+
+
+@pytest.mark.parametrize("function, name, bound, call, valid", INTEGER_PARAMETERS, ids=_IDS)
+def test_arrays_only_where_the_parameter_takes_them(function, name, bound, call, valid):
+    # an array for a scalar parameter raised a TypeError or ValueError past the check
+    if (function, name) in {("row_spectrum", "i"), ("conditioning", "frame"),
+                            ("interpolation_weight", "frame")}:
+        call(np.full(2, valid))
+    else:
+        message = f"{name} must be an integer{bound}, got an array of shape (2,)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(np.full(2, valid))
+
+
+def test_big_python_ints_stay_integers():
+    big = 2**70
+    values = gen_inconsistent_values(8, 1.0, 1e-4, big)
+    assert not np.array_equal(values, gen_inconsistent_values(8, 1.0, 1e-4, big % 2**64))
+    # shifts are periodic
+    assert dstft(_X, _W, big, 1) == dstft(_X, _W, big % 8, 1)
+    assert inconsistency_error(_X, _W, big, 2) == inconsistency_error(_X, _W, big % 8, 2)
+    with pytest.raises(ValidationError, match=f"^frame {big} out of range"):
+        conditioning(_SCHEDULE, _EMBEDDED, big, 0.5, 0)
+
+
+@pytest.mark.parametrize("dimension, got", [(2.5, "2.5 (dtype float64)"), (True, "True (dtype bool)"),
+                                            (-1, "-1")])
+def test_tensor_dimension_must_be_an_integer(tmp_path, dimension, got):
+    # Blocks((2.5,), ...) was written as a dimension of 2
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(f'tensor dimension must be an integer >= 0, got {got}')}$"):
+        write_tensor(tmp_path / "t.tf", Blocks((dimension,), [np.zeros(2)]))
+    assert not list(tmp_path.iterdir())
+
+
+def test_one_module_decides_integers_and_finiteness():
+    """Only tiara/errors.py may test for a NumPy integer, read a dtype kind,
+    or compare against np.inf: every other module calls its rules."""
+    pattern = re.compile(r"np\.integer|numpy\.integer|dtype\.kind|<=? *np\.inf")
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(Path(tiara.__file__).parent.glob("*.py")) if path.name != "errors.py"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if pattern.search(line)]
+    assert found == []

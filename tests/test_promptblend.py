@@ -1,5 +1,6 @@
 """Tests for tiara.promptblend: parsing, alignment, interpolation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,7 +155,8 @@ class TestInterpolationWeight:
                                           (True, "frame True"),
                                           (np.array([12.0, 15.0]), "frame 12.0")])
     def test_non_integer_frame_rejected(self, n, named):
-        with pytest.raises(ValidationError, match=f"^{named} is not an integer"):
+        name, got = named.split(" ")
+        with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got {got} \(dtype"):
             interpolation_weight(n, 10, 20)
 
 
@@ -181,7 +183,9 @@ class TestSchedule:
     @pytest.mark.parametrize("layer", [np.nan, 2.5, -1])
     def test_layer_threshold_must_be_an_integer(self, layer):
         # NaN used to raise a plain ValueError from int(), and 2.5 was truncated to 2
-        with pytest.raises(ValidationError, match=f"^layer_threshold must be an integer >= 0, got {layer}$"):
+        dtype = "" if layer == -1 else r" \(dtype float64\)"
+        with pytest.raises(ValidationError,
+                           match=f"^layer_threshold must be an integer >= 0, got {layer}{dtype}$"):
             make_schedule([(0, 10)], (0.5, 1.0), layer)
 
     def test_total_frames(self):
@@ -262,21 +266,24 @@ class TestConditioning:
             conditioning(schedule, np.zeros((3, 6, 4)), 0, 0.0, 0)
 
     @pytest.mark.parametrize("n, message", [
-        (6.5, "frame 6.5 is not an integer"), (np.float64(6.0), "frame 6.0 is not an integer"),
-        (True, "frame True is not an integer"), (np.array([6.0, 7.0]), "frame 6.0 is not an integer"),
-        (np.array([[False]]), "frame False is not an integer"),
-        ([], "frames must be integers, got an empty float64 array")])
+        (6.5, "frame must be an integer, got 6.5 (dtype float64)"),
+        (np.float64(6.0), "frame must be an integer, got 6.0 (dtype float64)"),
+        (True, "frame must be an integer, got True (dtype bool)"),
+        (np.array([6.0, 7.0]), "frame must be an integer, got 6.0 (dtype float64)"),
+        (np.array([[False]]), "frame must be an integer, got False (dtype bool)"),
+        ([], "frame must be an integer, got an empty array (dtype float64)")])
     def test_non_integer_frame_rejected(self, n, message):
         embedded = np.zeros((2, 3, 4))
         schedule = make_schedule([(0, 5), (8, 10)], (0.5, 1.0), 4)
-        with pytest.raises(ValidationError, match=f"^{message}"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
             conditioning(schedule, embedded, n, 0.5, 0)
 
     @pytest.mark.parametrize("d", [np.nan, 2.5, -1])
     def test_layer_must_be_an_integer(self, blend_setup, d):
         # NaN returned the unblended prompt, and -1 was accepted
         schedule, embedded = blend_setup
-        with pytest.raises(ValidationError, match=f"^d must be an integer >= 0, got {d}$"):
+        dtype = "" if d == -1 else r" \(dtype float64\)"
+        with pytest.raises(ValidationError, match=f"^d must be an integer >= 0, got {d}{dtype}$"):
             conditioning(schedule, embedded, 100, 0.0, d)
 
 
