@@ -144,7 +144,10 @@ def cmd_blend(args) -> int:
                      or _layer_rule(args.layer, "layer")):
         raise ConfigError(violation)
     with open(args.tokens, "r", encoding="utf-8") as handle:
-        table = TokenTable.from_lines(handle)
+        try:
+            table = TokenTable.from_lines(handle)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.tokens}: {exc}") from exc
     prompts = []
     with open(args.prompts, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):

@@ -6,14 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _finite_rule, _integer_rule
-from .spectral import Window, as_signal, as_square, dstft_magnitudes
+from .spectral import _BLOCK_BYTES, Window, as_signal, as_square, dstft_magnitudes
 
 KAPPA_TOLERANCE = 1e-12
-
-# Bytes one block of work holds at once: high_band's complex coefficients
-# (whole shifts, at least one) and homogeneity_deviation's row block with
-# its copy (whole rows, at least one).
-_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,24 +31,15 @@ def _k_threshold_violation(k_t, name: str, n: int | None = None) -> str | None:
 def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     """Magnitudes |T(x)| over k in [k_t, N//2]: one row per shift tau in
     [0, N), or the single row of the integer shift ``tau`` when it is given.
-    The full table is transformed a block of shifts at a time, each block's
-    complex sums within _BLOCK_BYTES; every (shift, k) sum is independent,
-    so blocking does not change the bits."""
+    The whole table is one ``dstft_magnitudes`` call, which bounds its
+    own temporaries at any N."""
     x = as_signal(x)
     n = len(x)
     if violation := (_k_threshold_violation(k_t, "k_threshold", n)
                      or (tau is not None and _integer_rule(tau, "tau"))):
         raise ValidationError(violation)
-    ks = np.arange(k_t, n // 2 + 1)
     taus = np.arange(n) if tau is None else int(tau) % n
-    per_block = max(1, _BLOCK_BYTES // (16 * len(ks)))
-    if np.size(taus) <= per_block:  # one block: its own array, no table to fill
-        return dstft_magnitudes(x, w, taus, ks)
-    table = np.empty((n, len(ks)))
-    for start in range(0, n, per_block):
-        stop = min(start + per_block, n)
-        table[start:stop] = dstft_magnitudes(x, w, np.arange(start, stop), ks)
-    return table
+    return dstft_magnitudes(x, w, taus, np.arange(k_t, n // 2 + 1))
 
 
 def separation(mag_x, mag_d, tol: float = KAPPA_TOLERANCE) -> float:

@@ -56,8 +56,11 @@ def _integer_rule(value, name: str, low=None, arrays: bool = False) -> str | Non
 
 def _finite_rule(value, name: str, low=None) -> str | None:
     """A finite number, >= ``low`` when it is given; NaN fails."""
-    if isfinite(value) and (low is None or value >= low):
-        return None
+    try:
+        if isfinite(value) and (low is None or value >= low):
+            return None
+    except OverflowError:  # a Python int too large for a float
+        value = "an integer too large for a float"
     return f"{name} must be finite{'' if low is None else f' and >= {low}'}, got {value}"
 
 

@@ -7,13 +7,14 @@ Transforms are direct O(N) summations per coefficient; at the few hundred
 samples this toolkit works with, correctness and bit-stable results matter
 more than FFT speed.
 
-Both stacked kernels share one core of windowed sums, laid out (K, S) with
-the S stacked signals innermost and accumulated one window tap at a time.
-``dstft_bins`` multiplies the core by its per-shift phase; callers that
-want only magnitudes use ``dstft_magnitudes``, which takes the modulus of
-the core and never forms the phase.  The core is pure NumPy, not a BLAS
-product: OpenBLAS gemm gives a row different bits in a 2-row and in a
-4,096-row call, so a signal's result would depend on its stack.
+Both stacked kernels share one core.  It takes the stack a block of
+signals at a time, each block's (K, s) complex windowed sums within
+_BLOCK_BYTES, adds them up one window tap at a time with the signals
+innermost, and writes each block straight into the output: ``dstft_bins``
+its product with the per-shift phase, ``dstft_magnitudes`` its modulus.
+Neither the block nor the stack changes a signal's bits, as a BLAS
+product would (OpenBLAS gemm rounds a row differently in a 2-row and in a
+4,096-row call).
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,10 @@ from .errors import ValidationError, _finite_array_rule, _integer_rule
 WINDOW_KINDS = ("rectangular", "hann", "gaussian", "blackman")
 
 GAUSSIAN_SIGMA = 0.4
+
+# Bytes one block of work holds at once (at least one signal or row): the
+# core's (K, s) complex sums, and homogeneity_deviation's rows with their copy.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -130,33 +135,40 @@ def dft(x, k: int) -> complex:
     return complex(np.sum(x * np.exp(-2j * np.pi * k * np.arange(n) / n)))
 
 
-def _windowed_sums(x, w: Window, m, ks) -> tuple[np.ndarray, np.ndarray]:
-    """The transform before its per-shift phase: sum_j x[m + j - L//2] psi_j
-    exp(-2i pi (j - L//2) k / N) for every signal of the stack and every k.
+def _windowed_sums(x, w: Window, m, ks, phased: bool) -> np.ndarray:
+    """Each stacked signal's transform at its shift, for every k in ``ks``:
+    the coefficient with ``phased``, otherwise its modulus.
 
-    The stack is flattened to S signals, the taps are gathered as (L, S),
-    and ``basis[j][:, None] * taps[j]`` is accumulated one tap at a time, in
-    tap order, into one (K, S) array: the long signal axis is innermost in
-    every multiply and add.  Returns that array as a shape + (K,) view, with
-    the table of N-th roots of unity.
+    Per block of s signals, the taps are gathered as (L, s) and
+    ``basis[j][:, None] * taps[j]`` is accumulated in tap order into the
+    (K, s) sums sum_j x[m + j - L//2] psi_j exp(-2i pi (j - L//2) k / N).
     """
     x = np.asarray(x, dtype=float)
-    m = np.asarray(m)
-    ks = np.asarray(ks)
+    m, ks = np.asarray(m), np.asarray(ks)
     n = x.shape[-1]
     shape = np.broadcast_shapes(x.shape[:-1], m.shape)
     # signal s of the stack is row rows[s] of x, read at shift shifts[s]
     rows = np.broadcast_to(np.arange(x[..., 0].size).reshape(x.shape[:-1]), shape).ravel()
     shifts = np.broadcast_to(m, shape).ravel()
+    signals = x.reshape(-1, n)  # once: a view even of row_spectrum's strided padding
     offsets = np.arange(w.length) - w.half
-    taps = x.reshape(-1)[rows * n + (shifts + offsets[:, None]) % n]
-    taps *= w.coefficients[:, None]
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
     basis = roots[np.outer(offsets, ks) % n]
-    total = np.zeros((len(ks), len(shifts)), dtype=complex)
-    for j in range(w.length):
-        total += basis[j][:, None] * taps[j]
-    return total.T.reshape(shape + (len(ks),)), roots
+    out = np.empty((len(shifts), len(ks)), dtype=complex if phased else float)
+    per_block = max(1, _BLOCK_BYTES // (16 * max(1, len(ks))))
+    for start in range(0, len(shifts), per_block):
+        block = slice(start, start + per_block)
+        taps = signals[rows[block], (shifts[block] + offsets[:, None]) % n]
+        taps *= w.coefficients[:, None]
+        sums = np.zeros((len(ks), taps.shape[1]), dtype=complex)
+        for j in range(w.length):
+            sums += basis[j][:, None] * taps[j]
+        if phased:
+            # out of place: an in-place complex multiply rounds short arrays differently
+            np.multiply(roots[(shifts[block, None] * ks) % n], sums.T, out=out[block])
+        else:
+            np.abs(sums.T, out=out[block])
+    return out.reshape(shape + (len(ks),))
 
 
 def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
@@ -178,12 +190,7 @@ def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
     not: OpenBLAS gemm gives a row different bits in a 2-row and in a
     4,096-row call (L = 9, 2K = 514).
     """
-    sums, roots = _windowed_sums(x, w, m, ks)
-    phase = roots[(np.asarray(m)[..., None] * ks) % len(roots)]
-    # Out of place, into a C-ordered array (sums is a transposed view):
-    # NumPy's in-place complex multiply rounds short arrays differently,
-    # which would make a signal's bits depend on the stack.
-    return np.multiply(phase, sums, out=np.empty(sums.shape, dtype=complex))
+    return _windowed_sums(x, w, m, ks, phased=True)
 
 
 def dstft_magnitudes(x, w: Window, m, ks) -> np.ndarray:
@@ -194,8 +201,7 @@ def dstft_magnitudes(x, w: Window, m, ks) -> np.ndarray:
     for bit (that path rounds one more complex multiply), and each signal
     gets the same bits whatever is stacked beside it.
     """
-    sums, _ = _windowed_sums(x, w, m, ks)
-    return np.abs(sums, out=np.empty(sums.shape))  # C order, not the view's
+    return _windowed_sums(x, w, m, ks, phased=False)
 
 
 def dstft(x, w: Window, m: int, k: int) -> complex:

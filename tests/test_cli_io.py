@@ -841,6 +841,18 @@ class TestBlendCommand:
         assert code == 2
         assert capsys.readouterr().err == f"tiara: {spans}:2: spans must be integers, got '1 x'\n"
 
+    def test_bad_token_line_names_its_file(self, tmp_path, blend_files, capsys):
+        # the token table's errors named a line but no file
+        prompts, spans, tokens, embeddings, _ = blend_files
+        tokens.write_text(tokens.read_text().splitlines()[0] + "\nbad line\n")
+        code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                       "--tokens", tokens, "--embeddings", embeddings,
+                       "--output", tmp_path / "cond.tf", "--frame", 0,
+                       "--timestep", 0.5, "--layer", 0)
+        assert code == 2
+        assert capsys.readouterr().err == (f"tiara: {tokens}: token table line 2: expected "
+                                           f"'token<TAB>id', got 'bad line'\n")
+
     @pytest.mark.parametrize("timestep", ["nan", "inf", "-inf"])
     def test_non_finite_timestep_rejected(self, tmp_path, blend_files, capsys, timestep):
         prompts, spans, tokens, embeddings, _ = blend_files

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from tiara import (ValidationError, consistency, dynamic_component, estimate_kappa,
-                   homogeneity_deviation, inconsistency_error,
-                   inconsistency_profile, make_window, softmax_rows)
+                   homogeneity_deviation, inconsistency_error, inconsistency_profile,
+                   make_window, motion_profile, softmax_rows, spectral)
 from tiara.consistency import high_band, separation
-from tiara.spectral import dstft_magnitudes
+from tiara.spectral import dstft_bins, dstft_magnitudes
 
 from oracles import naive_dstft
 
@@ -116,16 +116,40 @@ class TestHighBand:
         with pytest.raises(ValidationError, match=message):
             inconsistency_error(np.arange(8.0), w, tau, 2)
 
-    # one shift per block; three shifts per block, the last block partial
-    @pytest.mark.parametrize("shifts_per_block", [1, 3])
-    def test_blocks_give_the_bits_of_one_transform(self, monkeypatch, shifts_per_block):
-        x = np.random.default_rng(54).standard_normal(20)
+    # one signal per block, and four per block with the last block partial
+    # (42 broadcast signals, 21 shifts, 66 field rows)
+    @pytest.mark.parametrize("signals_per_block", [1, 4])
+    @pytest.mark.parametrize("call", ["dstft_bins", "dstft_magnitudes", "high_band", "motion_profile"])
+    def test_blocks_give_the_bits_of_one_transform(self, monkeypatch, call, signals_per_block):
+        rng = np.random.default_rng(54)
         w = make_window("blackman", 7)
-        ks = np.arange(3, 11)
-        monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * len(ks) * shifts_per_block)
-        expected = dstft_magnitudes(x, w, np.arange(20), ks)
-        assert np.array_equal(high_band(x, w, 3), expected)
-        assert np.array_equal(high_band(x, w, 3, 7), expected[7])
+        x, m, ks = rng.standard_normal((2, 1, 1, 21)), rng.integers(-21, 42, size=(3, 7)), np.arange(3, 11)
+        field = softmax_rows(rng.standard_normal((2, 3, 11, 11)))
+        # the arrays each call returns, and its bins per signal
+        run, bins = {
+            "dstft_bins": (lambda: [dstft_bins(x, w, m, ks)], 8),
+            "dstft_magnitudes": (lambda: [dstft_magnitudes(x, w, m, ks)], 8),
+            "high_band": (lambda: [high_band(x[0, 0, 0], w, 3), high_band(x[0, 0, 0], w, 3, 7)], 8),
+            "motion_profile": (lambda: [(p := motion_profile(field, w)).rho, p.spectra], 9),
+        }[call]
+        expected = run()  # one block under the default budget
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * bins * signals_per_block)
+        for got, want in zip(run(), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_one_transform_at_any_length(self, monkeypatch):
+        # at N = 2048 the table took 32 kernel calls, one per block of 64 shifts
+        calls = []
+        real = consistency.dstft_magnitudes
+
+        def counting(*args):
+            calls.append(np.shape(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(consistency, "dstft_magnitudes", counting)
+        table = high_band(np.random.default_rng(55).standard_normal(2048), make_window("blackman", 9), 4)
+        assert table.shape == (2048, 1021)
+        assert calls == [(2048,)]
 
 
 class TestSeparation:

@@ -104,6 +104,25 @@ def test_tensor_dimension_must_be_an_integer(tmp_path, dimension, got):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name, call", [
+    ("alpha", lambda: build_reweight_matrix(np.full(4, 0.5), 10**400)),
+    ("decay", lambda: gen_homogeneous_attention(8, 10**400)),
+], ids=["build_reweight_matrix-alpha", "gen_homogeneous_attention-decay"])
+def test_int_too_large_for_a_float_named(name, call):
+    # math.isfinite raised a raw OverflowError that named no parameter
+    message = f"{name} must be finite and >= 0, got an integer too large for a float"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_tensor_dimension_must_fit_the_header(tmp_path):
+    # a dimension of 2**70 passed the integer rule and raised a raw struct.error
+    message = f"tensor dimension must be < 2**64 (u64), got {2**70}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        write_tensor(tmp_path / "t.tf", Blocks((2**70,), []))
+    assert not list(tmp_path.iterdir())
+
+
 def test_one_module_decides_integers_and_finiteness():
     """Only tiara/errors.py may test for a NumPy integer, read a dtype kind,
     or compare against np.inf: every other module calls its rules."""
