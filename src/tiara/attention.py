@@ -125,8 +125,7 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     if np.any((i < 0) | (i >= n)):
         raise ValidationError(f"row index {i} out of range [0, {n})")
     half = window.half
-    deviation = row - row.mean(axis=-1, keepdims=True)
-    padded = deviation[..., np.arange(-half, n + half) % n]
+    padded = row[..., np.arange(-half, n + half) % n] - row.mean(axis=-1, keepdims=True)
     ks = np.arange((n + 2 * half) // 2 + 1)
     return dstft_magnitudes(padded, window, i + half, ks)
 

@@ -18,6 +18,7 @@ from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import ConfigError, TensorFileError, ValidationError, _finite_rule
 from .promptblend import (TokenTable, _layer_rule, align, conditioning, embed_aligned,
                           make_schedule, parse_organized)
+from .spectral import _blocks
 from .tensorfile import Blocks, read_tensor, write_tensor
 from .verifier import (format_report, gen_homogeneous_attention,
                        gen_inconsistent_values, make_instance, require_feasible,
@@ -27,9 +28,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THEOREM = 3
 EXIT_IO = 4
-
-# Output held in memory by blend --dump-all: whole frames, at least one.
-_DUMP_BLOCK_BYTES = 1 << 20
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -179,27 +177,25 @@ def cmd_blend(args) -> int:
     schedule = make_schedule(spans, (config.t1, config.t2), config.layer_threshold)
     if args.dump_all:
         tensor = _all_frames(schedule, embedded, args.timestep, args.layer)
-    elif args.frame is not None:
-        tensor = conditioning(schedule, embedded, args.frame, args.timestep, args.layer)
     else:
-        raise ValidationError("either --frame or --dump-all is required")
+        tensor = conditioning(schedule, embedded, args.frame, args.timestep, args.layer)
     write_tensor(args.output, tensor)
     return EXIT_OK
 
 
 def _all_frames(schedule, embedded, t: float, d: int) -> Blocks:
-    """Every frame's conditioning as one (frames, L, d) tensor, computed a
-    block of frames at a time as it is written, so memory does not grow with
-    the frame count.  The block buffer is reused: a fresh array per block
-    pays its page faults again each time."""
+    """Every frame's conditioning as one (frames, L, d) tensor, computed as it
+    is written a block of whole frames at a time within the package's one block
+    budget (``spectral._blocks``), so memory does not grow with the frame count.
+    The block buffer is reused: a fresh array per block pays its page faults again."""
     total, frame_shape = schedule.total_frames, embedded.shape[1:]
-    per_block = max(1, _DUMP_BLOCK_BYTES // max(1, embedded[0].nbytes))
-    block = np.empty((min(per_block, total),) + frame_shape)
+    slices = _blocks(total, embedded[0].nbytes)
+    buffer = np.empty((slices[0].stop if slices else 0,) + frame_shape)
 
     def blocks():
-        for start in range(0, total, per_block):
-            frames = np.arange(start, min(start + per_block, total))
-            yield conditioning(schedule, embedded, frames, t, d, out=block[:len(frames)])
+        for frames in slices:
+            yield conditioning(schedule, embedded, np.arange(frames.start, frames.stop), t, d,
+                               out=buffer[:frames.stop - frames.start])
 
     return Blocks((total,) + frame_shape, blocks())
 
@@ -255,10 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", required=True, help="token table: token<TAB>id lines")
     p.add_argument("--embeddings", required=True, help="rank-2 (vocab x d) TensorFile")
     p.add_argument("--output", required=True)
-    p.add_argument("--frame", type=int)
     p.add_argument("--timestep", type=float, required=True)
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--dump-all", action="store_true", dest="dump_all")
+    frames = p.add_mutually_exclusive_group(required=True)
+    frames.add_argument("--frame", type=int)
+    frames.add_argument("--dump-all", action="store_true", dest="dump_all")
     _add_common(p)
     p.set_defaults(func=cmd_blend)
 

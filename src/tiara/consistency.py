@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _finite_rule, _integer_rule
-from .spectral import _BLOCK_BYTES, Window, as_signal, as_square, dstft_magnitudes
+from .spectral import Window, _blocks, as_signal, as_square, dstft_magnitudes
 
 KAPPA_TOLERANCE = 1e-12
 
@@ -92,9 +92,9 @@ def homogeneity_deviation(a) -> float:
     """Max over i, j, k of |a[i, i+k] - a[j, j+k]| with wrapped indices.
 
     Zero exactly when the matrix is circulant.  Rows are read a block at a
-    time, each block with its copy within _BLOCK_BYTES, keeping a running
-    max and min per diagonal k; both are exact, so blocking does not change
-    the bits.
+    time, each block with its copy within the kernel's one block budget
+    (``spectral._blocks``), keeping a running max and min per diagonal k;
+    both are exact, so blocking does not change the bits.
     """
     a = as_square(a, "attention map")
     n = a.shape[0]
@@ -102,13 +102,12 @@ def homogeneity_deviation(a) -> float:
         return 0.0
     top = np.full(n, -np.inf)
     bottom = np.full(n, np.inf)
-    per_block = max(1, _BLOCK_BYTES // (16 * n))
-    for start in range(0, n, per_block):
-        twice = np.tile(a[start:start + per_block], 2)  # each row followed by itself
+    for block in _blocks(n, 16 * n):
+        twice = np.tile(a[block], 2)  # each row followed by itself
         row_step, column_step = twice.strides
-        # diagonals[i, k] = twice[i, start + i + k] = a[start + i, (start + i + k) % n]
+        # diagonals[i, k] = twice[i, s + i + k] = a[s + i, (s + i + k) % n], s = block.start
         diagonals = np.lib.stride_tricks.as_strided(
-            twice[:, start:], shape=(len(twice), n), strides=(row_step + column_step, column_step),
+            twice[:, block.start:], shape=(len(twice), n), strides=(row_step + column_step, column_step),
             writeable=False)
         np.maximum(top, diagonals.max(axis=0), out=top)
         np.minimum(bottom, diagonals.min(axis=0), out=bottom)

@@ -8,13 +8,13 @@ samples this toolkit works with, correctness and bit-stable results matter
 more than FFT speed.
 
 Both stacked kernels share one core.  It takes the stack a block of
-signals at a time, each block's (K, s) complex windowed sums within
-_BLOCK_BYTES, adds them up one window tap at a time with the signals
-innermost, and writes each block straight into the output: ``dstft_bins``
-its product with the per-shift phase, ``dstft_magnitudes`` its modulus.
-Neither the block nor the stack changes a signal's bits, as a BLAS
-product would (OpenBLAS gemm rounds a row differently in a 2-row and in a
-4,096-row call).
+signals at a time, each block's (K, s) complex windowed sums within the
+package's one block budget (_BLOCK_BYTES, walked by _blocks), adds them up
+one window tap at a time with the signals innermost, and writes each block
+straight into the output: ``dstft_bins`` its product with the per-shift
+phase, ``dstft_magnitudes`` its modulus.  Neither the block nor the stack
+changes a signal's bits, as a BLAS product would (OpenBLAS gemm rounds a
+row differently in a 2-row and in a 4,096-row call).
 """
 
 from dataclasses import dataclass
@@ -28,9 +28,15 @@ WINDOW_KINDS = ("rectangular", "hann", "gaussian", "blackman")
 
 GAUSSIAN_SIGMA = 0.4
 
-# Bytes one block of work holds at once (at least one signal or row): the
-# core's (K, s) complex sums, and homogeneity_deviation's rows with their copy.
+# Bytes one block holds in every blocked loop, read by _blocks at each call: the core's
+# (K, s) complex sums, homogeneity_deviation's rows with their copy, dump-all's frames.
 _BLOCK_BYTES = 1 << 20
+
+
+def _blocks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each within _BLOCK_BYTES or of one item."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,7 @@ def _windowed_sums(x, w: Window, m, ks, phased: bool) -> np.ndarray:
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
     basis = roots[np.outer(offsets, ks) % n]
     out = np.empty((len(shifts), len(ks)), dtype=complex if phased else float)
-    per_block = max(1, _BLOCK_BYTES // (16 * max(1, len(ks))))
-    for start in range(0, len(shifts), per_block):
-        block = slice(start, start + per_block)
+    for block in _blocks(len(shifts), 16 * max(1, len(ks))):
         taps = signals[rows[block], (shifts[block] + offsets[:, None]) % n]
         taps *= w.coefficients[:, None]
         sums = np.zeros((len(ks), taps.shape[1]), dtype=complex)

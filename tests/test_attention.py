@@ -6,11 +6,12 @@ from math import log
 import numpy as np
 import pytest
 
-from tiara import (ValidationError, alpha_from_closed_form, build_reweight_matrix,
+from tiara import (ValidationError, alpha_from_closed_form, attention, build_reweight_matrix,
                    conditioning, gen_homogeneous_attention, gen_inconsistent_values,
                    make_instance, make_schedule, make_window, motion_intensity,
                    motion_profile, reweighted_attention, softmax_rows, tiara)
 from tiara.attention import row_spectrum
+from tiara.spectral import dstft_magnitudes
 
 from oracles import algorithm_reference, closed_form_rows, naive_softmax, rho_reference
 
@@ -202,6 +203,22 @@ class TestMotionIntensity:
             row_spectrum(np.arange(8.0), w, i)
         with pytest.raises(ValidationError, match=message):
             motion_intensity(np.arange(8.0), w, i)
+
+    @pytest.mark.parametrize("shape", [(9,), (8, 8), (2, 3, 8, 8), (4, 4, 16, 16)])
+    def test_padded_rows_reach_the_kernel_as_one_view(self, monkeypatch, shape):
+        # the kernel gathers taps from x.reshape(-1, n); a copy there would
+        # double row_spectrum's padded (..., N, Npad) array
+        seen = []
+
+        def spy(x, w, m, ks):
+            seen.append(x)
+            return dstft_magnitudes(x, w, m, ks)
+
+        monkeypatch.setattr(attention, "dstft_magnitudes", spy)
+        rows = softmax_rows(np.random.default_rng(29).standard_normal(shape))
+        row_spectrum(rows, make_window("blackman", 9), np.arange(shape[-1]))
+        (padded,) = seen
+        assert np.shares_memory(padded, padded.reshape(-1, padded.shape[-1]))
 
     def test_profile_collects_rows(self):
         rng = np.random.default_rng(28)

@@ -14,7 +14,7 @@ import pytest
 from tiara import (ConfigError, TensorFileError, ValidationError, build_reweight_matrix, cli,
                    conditioning, inconsistency_profile, make_instance, make_schedule,
                    make_window, motion_intensity, motion_profile, read_tensor, softmax_rows,
-                   tensorfile, tiara, write_tensor)
+                   spectral, tensorfile, tiara, write_tensor)
 from tiara.cli import _resolve_config, build_parser, main
 from tiara.config import CONFIG_KEYS, Config, load_config
 from tiara.tensorfile import Blocks
@@ -797,7 +797,7 @@ class TestBlendCommand:
             "frame_larger_than_block", "zero_frames"])
     def test_dump_all_streamed_equals_one_call(self, tmp_path, monkeypatch, spans, block_bytes):
         if block_bytes is not None:
-            monkeypatch.setattr(cli, "_DUMP_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes)
         count = spans.count("\n")
         prompts, spans_path = tmp_path / "prompts.txt", tmp_path / "spans.txt"
         prompts.write_text("".join(f"{a}${b}${c}${d}${e}\n" for a, b, c, d, e
@@ -873,6 +873,31 @@ class TestBlendCommand:
         assert capsys.readouterr().err == "tiara: layer must be an integer >= 0, got -1\n"
         assert not (tmp_path / "cond.tf").exists()
 
+    def test_frame_and_dump_all_together_rejected(self, tmp_path, blend_files, capsys):
+        # --dump-all silently won over --frame
+        prompts, spans, tokens, embeddings, _ = blend_files
+        out = tmp_path / "cond.tf"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("blend", "--prompts", prompts, "--spans", spans, "--tokens", tokens,
+                    "--embeddings", embeddings, "--output", out, "--frame", 100, "--dump-all",
+                    "--timestep", 0.5, "--layer", 0)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("tiara blend: error:") and "--frame" in error and "--dump-all" in error
+        assert not out.exists()
+
+    def test_frame_or_dump_all_required_before_any_read(self, tmp_path, blend_files, capsys):
+        # the missing choice was found only after every input was read, so a
+        # missing embeddings file exited 4 (i/o error) instead of 2
+        prompts, spans, tokens, _, _ = blend_files
+        with pytest.raises(SystemExit) as exc:
+            run_cli("blend", "--prompts", prompts, "--spans", spans, "--tokens", tokens,
+                    "--embeddings", tmp_path / "missing.tf", "--output", tmp_path / "cond.tf",
+                    "--timestep", 0.5, "--layer", 0)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("tiara blend: error:") and "--frame" in error and "--dump-all" in error
+
     def test_span_count_mismatch(self, tmp_path, blend_files, capsys):
         prompts, spans, tokens, embeddings, _ = blend_files
         spans.write_text("0 50\n")
@@ -924,6 +949,58 @@ class TestMemory:
             tracemalloc.stop()
         assert np.array_equal(back, array)
         assert peak < 1.25 * array.nbytes
+
+
+class TestOneBlockBudget:
+    """spectral._BLOCK_BYTES sizes every block of every command: at one byte
+    each block holds one item, and each command writes the bytes it writes
+    under the default budget."""
+
+    def outputs_at_both_budgets(self, tmp_path, monkeypatch, argv, outputs):
+        """Bytes of ``outputs`` after running ``argv`` in tmp_path/default and,
+        at a one-byte budget, in tmp_path/one_byte."""
+        written = []
+        for run, budget in (("default", spectral._BLOCK_BYTES), ("one_byte", 1)):
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", budget)
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert run_cli(*argv) == 0
+            written.append([Path(name).read_bytes() for name in outputs])
+        return written
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["reweight", "--logits", "../l.tf", "--values", "../v.tf", "--out-values", "y.tf",
+          "--out-attention", "a.tf"], ["y.tf", "a.tf"]),
+        (["analyze", "--input", "../l.tf", "--output", "rho.tf", "--spectrogram", "spectra.csv"],
+         ["rho.tf", "spectra.csv"]),
+        (["verify-theorem", "--sizes", "32,48", "--report", "r.txt"], ["r.txt"]),
+    ], ids=["reweight", "analyze_spectrogram", "verify_theorem"])
+    def test_field_and_theorem_commands(self, tmp_path, monkeypatch, argv, outputs):
+        rng = np.random.default_rng(92)
+        write_tensor(tmp_path / "l.tf", rng.standard_normal((2, 3, 8, 8)))
+        write_tensor(tmp_path / "v.tf", rng.standard_normal((2, 3, 8, 4)))
+        default, forced = self.outputs_at_both_budgets(tmp_path, monkeypatch, argv, outputs)
+        assert forced == default
+
+    def test_blend_dump_all_one_frame_per_block(self, tmp_path, monkeypatch):
+        (tmp_path / "p.txt").write_text("a$b$c$d$e\nf$g$h$i$j\n")
+        (tmp_path / "s.txt").write_text("0 5\n9 20\n")
+        (tmp_path / "t.tsv").write_text("".join(f"{c}\t{i}\n" for i, c in enumerate("abcdefghij")))
+        write_tensor(tmp_path / "emb.tf", np.random.default_rng(93).standard_normal((10, 4)))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].tolist())
+            return conditioning(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "conditioning", counted)
+        default, forced = self.outputs_at_both_budgets(
+            tmp_path, monkeypatch, ["blend", "--prompts", "../p.txt", "--spans", "../s.txt",
+                                    "--tokens", "../t.tsv", "--embeddings", "../emb.tf",
+                                    "--output", "cond.tf", "--dump-all", "--timestep", 0.8,
+                                    "--layer", 0], ["cond.tf"])
+        assert forced == default
+        assert calls == [list(range(20))] + [[i] for i in range(20)]  # one call, then one per frame
 
 
 class TestExitCodes:

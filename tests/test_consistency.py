@@ -257,7 +257,7 @@ class TestHomogeneityDeviation:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
     def test_bits_of_the_index_table(self, monkeypatch, n, rows_per_block):
         if rows_per_block:
-            monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * n * rows_per_block)
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * n * rows_per_block)
         a = softmax_rows(np.random.default_rng(n).standard_normal((n, n)))
         rows = np.arange(n)[:, None]
         index_table = float(np.ptp(a[rows, (rows + rows.T) % n], axis=0).max())

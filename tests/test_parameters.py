@@ -132,3 +132,13 @@ def test_one_module_decides_integers_and_finiteness():
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
              if pattern.search(line)]
     assert found == []
+
+
+def test_one_module_sizes_blocks():
+    """Only tiara/spectral.py may name the block budget: every blocked loop
+    walks ``spectral._blocks``, so one patch forces every block size."""
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(Path(tiara.__file__).parent.glob("*.py")) if path.name != "spectral.py"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if "BLOCK_BYTES" in line]
+    assert found == []

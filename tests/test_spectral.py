@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tiara import ValidationError, dft, dstft, make_window, pad_periodic, spectrogram
-from tiara.spectral import WINDOW_KINDS, dstft_bins, dstft_magnitudes
+from tiara import ValidationError, dft, dstft, make_window, pad_periodic, spectral, spectrogram
+from tiara.spectral import WINDOW_KINDS, _blocks, dstft_bins, dstft_magnitudes
 
 from oracles import naive_dft, naive_dstft
 
@@ -152,6 +152,23 @@ class TestDstft:
         for m in range(12):
             for k in range(12):
                 assert c[m, k] == pytest.approx(np.conj(c[m, (12 - k) % 12]), abs=1e-12)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("budget, count, item_bytes, stops", [
+        (1 << 20, 5, 16, [5]),
+        (1, 5, 16, [1, 2, 3, 4, 5]),
+        (32, 5, 16, [2, 4, 5]),
+        (47, 5, 16, [2, 4, 5]),
+        (32, 4, 0, [4]),
+        (32, 0, 16, []),
+    ], ids=["one_block", "one_item_per_block", "partial_last_block", "budget_not_a_multiple",
+            "empty_items", "no_items"])
+    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, count, item_bytes,
+                                                   stops):
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", budget)  # read at call time
+        assert _blocks(count, item_bytes) == [slice(start, stop) for start, stop
+                                              in zip([0] + stops[:-1], stops)]
 
 
 class TestMakeWindow:
