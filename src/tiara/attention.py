@@ -16,7 +16,7 @@ from math import ceil
 import numpy as np
 
 from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
-from .spectral import Window, as_square, dstft_magnitudes
+from .spectral import Window, _windowed_sums, as_square
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class ReweightMatrix:
 @dataclass(frozen=True)
 class MotionProfile:
     """Per-frame motion intensities, the band that produced them, and the
-    one-sided row spectra (shape rho.shape + (Npad//2 + 1,)) behind them."""
+    one-sided spectra of the periodically padded rows behind them (shape
+    rho.shape + (Npad//2 + 1,)); see ``row_spectrum``."""
 
     rho: np.ndarray
     phi1: int
@@ -110,24 +111,29 @@ def reweighted_attention(logits, penalty, values):
 def row_spectrum(row, window: Window, i) -> np.ndarray:
     """One-sided magnitude spectrum of an attention row around frame i.
 
-    The row's mean is removed (the static level carries no motion), the
-    deviation is padded periodically by L//2 on each side, and the windowed
-    transform is taken at the padded position of sample i.  Returned
-    magnitudes cover frequency indices 0 .. floor(Npad/2) of the padded
-    transform.  Rows may be stacked as (..., N), with ``i`` broadcast
-    against the leading axes; ``i`` must have an integer dtype.
+    By definition the row's mean is removed (the static level carries no
+    motion), the deviation is padded periodically by L//2 on each side to
+    Npad = N + 2*(L//2) samples, and the windowed transform of period Npad
+    is taken at the padded position of sample i.  Returned magnitudes cover
+    frequency indices 0 .. floor(Npad/2).  No padded row is built: the
+    window there covers deviation samples i - L//2 .. i + L//2 taken
+    N-periodically, which are the padded samples exactly, so the kernel
+    reads them from the (..., N) deviation with Npad as its period.  Rows
+    may be stacked as (..., N), with ``i`` broadcast against the leading
+    axes; ``i`` must have an integer dtype.
     """
     row = np.asarray(row, dtype=float)
+    if row.ndim == 0 or row.shape[-1] == 0:
+        raise ValidationError(f"attention rows must have shape (..., N) with N >= 1, got shape {row.shape}")
     n = row.shape[-1]
     if violation := _integer_rule(i, "i", arrays=True) or _finite_array_rule(row, "attention rows"):
         raise ValidationError(violation)
     i = np.asarray(i)
     if np.any((i < 0) | (i >= n)):
         raise ValidationError(f"row index {i} out of range [0, {n})")
-    half = window.half
-    padded = row[..., np.arange(-half, n + half) % n] - row.mean(axis=-1, keepdims=True)
-    ks = np.arange((n + 2 * half) // 2 + 1)
-    return dstft_magnitudes(padded, window, i + half, ks)
+    npad = n + 2 * window.half
+    deviation = row - row.mean(axis=-1, keepdims=True)
+    return _windowed_sums(deviation, window, i, np.arange(npad // 2 + 1), phased=False, period=npad)
 
 
 def _strength_violation(value, name: str) -> str | None:
@@ -177,12 +183,15 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
     """Fraction of a row's windowed spectral power in the high band.
 
     The power ratio sum_{phi1 <= k < phi2} / sum_{k < phi2} is taken over
-    the one-sided spectrum of the padded row (length Npad = N + 2*(L//2)),
-    so 0 <= phi1 < phi2 <= Npad//2 + 1.  Defaults: phi2 = Npad//2 + 1 and
-    phi1 = min(ceil(Npad/8), Npad//2).  Rows with zero variation have no
+    the one-sided spectrum of the mean-removed row read as periodically
+    padded to Npad = N + 2*(L//2) samples (``row_spectrum``; no padded copy
+    is made), so 0 <= phi1 < phi2 <= Npad//2 + 1.  Defaults:
+    phi2 = Npad//2 + 1 and phi1 = min(ceil(Npad/8), Npad//2).  Rows with zero variation have no
     motion by definition and return 0.0 exactly, as does a vanishing spectrum.
     """
     row = np.asarray(row, dtype=float)
+    if row.ndim != 1:
+        raise ValidationError(f"attention row must have shape (N,), got shape {row.shape}")
     if violation := _integer_rule(i, "i"):  # one row, one frame: row_spectrum also takes arrays
         raise ValidationError(violation)
     phi1, phi2 = _band(len(row), window, phi1, phi2)
@@ -252,7 +261,7 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     if values_field.ndim != 4 or values_field.shape[:3] != logits_field.shape[:3]:
         raise ValidationError(
             f"values field shape {values_field.shape} does not match logits field {logits_field.shape}")
-    profile = motion_profile(softmax_rows(logits_field), window, phi1, phi2)
-    penalty = build_reweight_matrix(profile, alpha, corner_size, corner_penalty)
+    rho = motion_profile(softmax_rows(logits_field), window, phi1, phi2).rho  # spectra freed now
+    penalty = build_reweight_matrix(rho, alpha, corner_size, corner_penalty)
     attention, outputs = reweighted_attention(logits_field, penalty, values_field)
-    return TiaraResult(outputs=outputs, attention=attention, rho=profile.rho)
+    return TiaraResult(outputs=outputs, attention=attention, rho=rho)

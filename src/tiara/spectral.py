@@ -14,7 +14,10 @@ one window tap at a time with the signals innermost, and writes each block
 straight into the output: ``dstft_bins`` its product with the per-shift
 phase, ``dstft_magnitudes`` its modulus.  Neither the block nor the stack
 changes a signal's bits, as a BLAS product would (OpenBLAS gemm rounds a
-row differently in a 2-row and in a 4,096-row call).
+row differently in a 2-row and in a 4,096-row call).  The core's transform
+period may also exceed the signal length, with the taps still read
+N-periodically: ``attention.row_spectrum`` calls it that way to transform a
+row's periodic padding without building it.
 """
 
 from dataclasses import dataclass
@@ -141,25 +144,26 @@ def dft(x, k: int) -> complex:
     return complex(np.sum(x * np.exp(-2j * np.pi * k * np.arange(n) / n)))
 
 
-def _windowed_sums(x, w: Window, m, ks, phased: bool) -> np.ndarray:
+def _windowed_sums(x, w: Window, m, ks, phased: bool, period: int | None = None) -> np.ndarray:
     """Each stacked signal's transform at its shift, for every k in ``ks``:
     the coefficient with ``phased``, otherwise its modulus.
 
     Per block of s signals, the taps are gathered as (L, s) and
     ``basis[j][:, None] * taps[j]`` is accumulated in tap order into the
-    (K, s) sums sum_j x[m + j - L//2] psi_j exp(-2i pi (j - L//2) k / N).
+    (K, s) sums sum_j x[(m + j - L//2) mod N] psi_j exp(-2i pi (j - L//2) k / P), P = period or N.
     """
     x = np.asarray(x, dtype=float)
     m, ks = np.asarray(m), np.asarray(ks)
     n = x.shape[-1]
+    period = n if period is None else period
     shape = np.broadcast_shapes(x.shape[:-1], m.shape)
     # signal s of the stack is row rows[s] of x, read at shift shifts[s]
     rows = np.broadcast_to(np.arange(x[..., 0].size).reshape(x.shape[:-1]), shape).ravel()
     shifts = np.broadcast_to(m, shape).ravel()
-    signals = x.reshape(-1, n)  # once: a view even of row_spectrum's strided padding
+    signals = x.reshape(-1, n)  # once: a view of a contiguous stack
     offsets = np.arange(w.length) - w.half
-    roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    basis = roots[np.outer(offsets, ks) % n]
+    roots = np.exp(-2j * np.pi * np.arange(period) / period)
+    basis = roots[np.outer(offsets, ks) % period]
     out = np.empty((len(shifts), len(ks)), dtype=complex if phased else float)
     for block in _blocks(len(shifts), 16 * max(1, len(ks))):
         taps = signals[rows[block], (shifts[block] + offsets[:, None]) % n]
@@ -169,7 +173,7 @@ def _windowed_sums(x, w: Window, m, ks, phased: bool) -> np.ndarray:
             sums += basis[j][:, None] * taps[j]
         if phased:
             # out of place: an in-place complex multiply rounds short arrays differently
-            np.multiply(roots[(shifts[block, None] * ks) % n], sums.T, out=out[block])
+            np.multiply(roots[(shifts[block, None] * ks) % period], sums.T, out=out[block])
         else:
             np.abs(sums.T, out=out[block])
     return out.reshape(shape + (len(ks),))

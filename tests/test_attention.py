@@ -1,19 +1,20 @@
 """Tests for tiara.attention: softmax, reweighting, motion intensity."""
 
 import re
+import tracemalloc
 from math import log
 
 import numpy as np
 import pytest
 
-from tiara import (ValidationError, alpha_from_closed_form, attention, build_reweight_matrix,
+from tiara import (ValidationError, alpha_from_closed_form, build_reweight_matrix,
                    conditioning, gen_homogeneous_attention, gen_inconsistent_values,
                    make_instance, make_schedule, make_window, motion_intensity,
-                   motion_profile, reweighted_attention, softmax_rows, tiara)
+                   motion_profile, reweighted_attention, softmax_rows, spectral, tiara)
 from tiara.attention import row_spectrum
-from tiara.spectral import dstft_magnitudes
 
-from oracles import algorithm_reference, closed_form_rows, naive_softmax, rho_reference
+from oracles import (algorithm_reference, closed_form_rows, naive_dstft, naive_softmax, pad_wrap,
+                     rho_reference)
 
 
 class TestSoftmaxRows:
@@ -204,21 +205,61 @@ class TestMotionIntensity:
         with pytest.raises(ValidationError, match=message):
             motion_intensity(np.arange(8.0), w, i)
 
-    @pytest.mark.parametrize("shape", [(9,), (8, 8), (2, 3, 8, 8), (4, 4, 16, 16)])
-    def test_padded_rows_reach_the_kernel_as_one_view(self, monkeypatch, shape):
-        # the kernel gathers taps from x.reshape(-1, n); a copy there would
-        # double row_spectrum's padded (..., N, Npad) array
-        seen = []
+    @pytest.mark.parametrize("call, message", [
+        (lambda w: motion_intensity(np.ones((3, 5)), w, 0), "attention row must have shape (N,), got shape (3, 5)"),
+        (lambda w: motion_intensity(0.5, w, 0), "attention row must have shape (N,), got shape ()"),
+        (lambda w: motion_intensity([], w, 0), "attention rows must have shape (..., N) with N >= 1, got shape (0,)"),
+        (lambda w: row_spectrum(0.5, w, 0), "attention rows must have shape (..., N) with N >= 1, got shape ()"),
+        (lambda w: motion_profile(np.zeros((0, 0)), w),
+         "attention rows must have shape (..., N) with N >= 1, got shape (0, 0)"),
+    ], ids=["matrix", "scalar", "empty", "scalar_rows", "empty_map"])
+    def test_bad_row_shape_named(self, call, message):
+        # the first four raised TypeError, TypeError, a range error naming row
+        # index 0 and IndexError; the empty map warned of a division by zero
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(make_window("blackman", 9))
 
-        def spy(x, w, m, ks):
-            seen.append(x)
-            return dstft_magnitudes(x, w, m, ks)
+    @pytest.mark.parametrize("n, kind, length", [(20, "blackman", 9), (6, "hann", 7), (5, "rectangular", 12),
+                                                 (3, "blackman", 13), (1, "blackman", 9),
+                                                 (7, "gaussian", 31)])
+    def test_spectra_match_naive_oracle_of_the_padded_rows(self, n, kind, length):
+        # the transform period Npad = N + 2*(L//2) is not the row length, and
+        # with L > N the window reads the row more than once
+        rng = np.random.default_rng(30)
+        w = make_window(kind, length)
+        rows, i = rng.standard_normal((4, n)), rng.integers(0, n, size=4)
+        got = row_spectrum(rows, w, i)
+        half, coeffs = length // 2, list(w.coefficients)
+        assert got.shape == (4, (n + 2 * half) // 2 + 1)
+        for row, frame, spectrum in zip(rows.tolist(), i.tolist(), got):
+            mean = sum(row) / n
+            padded = pad_wrap([v - mean for v in row], half)
+            for k, magnitude in enumerate(spectrum):
+                expected = abs(naive_dstft(padded, coeffs, frame + half, k))
+                assert abs(magnitude - expected) <= 1e-12 * max(1.0, expected)
 
-        monkeypatch.setattr(attention, "dstft_magnitudes", spy)
-        rows = softmax_rows(np.random.default_rng(29).standard_normal(shape))
-        row_spectrum(rows, make_window("blackman", 9), np.arange(shape[-1]))
-        (padded,) = seen
-        assert np.shares_memory(padded, padded.reshape(-1, padded.shape[-1]))
+    def test_traced_peak_holds_no_padded_rows(self, monkeypatch):
+        """The field_reweight field: S = 4,096 rows of N = 16 frames, a
+        Blackman window of L = 9, so Npad = 24 and K = 13 bins, with blocks
+        of s = 64 rows.  The arrays that must exist at once are the (..., N, N)
+        deviation (8 S N bytes), the spectra (8 S K), the row means and the
+        kernel's row and shift indices (8 S each), and one block: its (L, s)
+        tap indices, index sum and taps (24 L s) and its (K, s) complex sums
+        and one product (32 K s), within 4 budgets of 16 K s; 16 KiB more
+        covers the small tables.  A (..., N, Npad) padded copy alone would add
+        8 S (Npad - N) = 256 KiB to that."""
+        w, n, bins = make_window("blackman", 9), 16, 13
+        rows = softmax_rows(np.random.default_rng(29).standard_normal((16, 16, n, n)))
+        count = rows.size // n
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * bins * 64)
+        tracemalloc.start()
+        try:
+            spectra = row_spectrum(rows, w, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectra.shape == (16, 16, 16, bins)
+        assert peak < 8 * count * (n + bins + 3) + 4 * spectral._BLOCK_BYTES + (16 << 10)
 
     def test_profile_collects_rows(self):
         rng = np.random.default_rng(28)

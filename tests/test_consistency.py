@@ -8,7 +8,7 @@ import pytest
 
 from tiara import (ValidationError, consistency, dynamic_component, estimate_kappa,
                    homogeneity_deviation, inconsistency_error, inconsistency_profile,
-                   make_window, motion_profile, softmax_rows, spectral)
+                   make_window, motion_profile, row_spectrum, softmax_rows, spectral)
 from tiara.consistency import high_band, separation
 from tiara.spectral import dstft_bins, dstft_magnitudes
 
@@ -117,20 +117,24 @@ class TestHighBand:
             inconsistency_error(np.arange(8.0), w, tau, 2)
 
     # one signal per block, and four per block with the last block partial
-    # (42 broadcast signals, 21 shifts, 66 field rows)
+    # (42 broadcast signals, 21 shifts, 66 field rows, 18 rows of 3 frames
+    # under a 13-tap window: the transform period 15 is not the row length)
     @pytest.mark.parametrize("signals_per_block", [1, 4])
-    @pytest.mark.parametrize("call", ["dstft_bins", "dstft_magnitudes", "high_band", "motion_profile"])
+    @pytest.mark.parametrize("call", ["dstft_bins", "dstft_magnitudes", "high_band", "motion_profile",
+                                      "row_spectrum"])
     def test_blocks_give_the_bits_of_one_transform(self, monkeypatch, call, signals_per_block):
         rng = np.random.default_rng(54)
         w = make_window("blackman", 7)
         x, m, ks = rng.standard_normal((2, 1, 1, 21)), rng.integers(-21, 42, size=(3, 7)), np.arange(3, 11)
         field = softmax_rows(rng.standard_normal((2, 3, 11, 11)))
+        short = rng.standard_normal((6, 3, 3))
         # the arrays each call returns, and its bins per signal
         run, bins = {
             "dstft_bins": (lambda: [dstft_bins(x, w, m, ks)], 8),
             "dstft_magnitudes": (lambda: [dstft_magnitudes(x, w, m, ks)], 8),
             "high_band": (lambda: [high_band(x[0, 0, 0], w, 3), high_band(x[0, 0, 0], w, 3, 7)], 8),
             "motion_profile": (lambda: [(p := motion_profile(field, w)).rho, p.spectra], 9),
+            "row_spectrum": (lambda: [row_spectrum(short, make_window("hann", 13), np.arange(3))], 8),
         }[call]
         expected = run()  # one block under the default budget
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * bins * signals_per_block)

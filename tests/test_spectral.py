@@ -97,7 +97,7 @@ class TestDstft:
                         shifts = kernel(x[0], w, np.arange(n), ks)
                         for tau in range(n):
                             assert np.array_equal(shifts[tau], kernel(x[0], w, tau, ks))
-            # the field_reweight shape: 4,096 padded rows of 16 frames, 13 bins;
+            # 4,096 signals and 13 bins, as in field_reweight's motion spectra;
             # the SIMD split of every multiply and add falls on the signal axis
             x = rng.standard_normal((16, 256, 24))
             w = make_window("blackman", 9)
