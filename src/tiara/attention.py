@@ -4,10 +4,12 @@ motion-adaptive reweighting pipeline.
 Logits are pre-softmax frame-to-frame scores (any key-dimension scaling is
 assumed already applied by the producer).  The pipeline softmaxes them,
 estimates a per-frame motion intensity from the windowed spectrum of each
-attention row, writes -alpha * (1 - rho_i) onto the diagonal of a corner
-penalty matrix, and re-softmaxes the shifted logits.  Every step batches
-over leading axes: a (..., N, N) stack is processed as independent maps,
-and each map gets the same bits as when it is processed alone.
+attention row, and penalises the logits by -alpha * (1 - rho_i) on the
+diagonal and -beta on two corner triangles.  ``tiara`` forms the softmax
+of the penalised logits by rescaling the first softmax's penalised entries
+and renormalising its rows.  Every step batches over leading axes: a
+(..., N, N) stack is processed as independent maps, and each map gets the
+same bits as when it is processed alone.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,11 @@ from math import ceil
 import numpy as np
 
 from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
-from .spectral import Window, _windowed_sums, as_square
+from .spectral import Window, _blocks, _windowed_sums, as_square
+
+# A row whose rescaled sum falls below this is re-softmaxed directly: an entry that underflowed
+# in the first softmax then costs at most eps of absolute error once the row is divided.
+_RESCALE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -32,9 +38,9 @@ class ReweightMatrix:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Per-frame motion intensities, the band that produced them, and the
-    one-sided spectra of the periodically padded rows behind them (shape
-    rho.shape + (Npad//2 + 1,)); see ``row_spectrum``."""
+    """Per-frame motion intensities (``motion_intensity``, which reads only
+    some bins), the band, and the one-sided spectra of the periodically
+    padded rows, shape rho.shape + (Npad//2 + 1,) (``row_spectrum``)."""
 
     rho: np.ndarray
     phi1: int
@@ -108,6 +114,26 @@ def reweighted_attention(logits, penalty, values):
     return attention, attention @ values
 
 
+def _rows_at(row, i) -> tuple[np.ndarray, np.ndarray]:
+    """Finite float rows (..., N) with N >= 1, and integer frame indices in
+    [0, N) that broadcast against the rows' leading axes."""
+    row = np.asarray(row, dtype=float)
+    if row.ndim == 0 or row.shape[-1] == 0:
+        raise ValidationError(f"attention rows must have shape (..., N) with N >= 1, got shape {row.shape}")
+    n = row.shape[-1]
+    if violation := _integer_rule(i, "i", arrays=True) or _finite_array_rule(row, "attention rows"):
+        raise ValidationError(violation)
+    i = np.asarray(i)
+    if np.any((i < 0) | (i >= n)):
+        raise ValidationError(f"row index {i} out of range [0, {n})")
+    try:
+        np.broadcast_shapes(row.shape[:-1], i.shape)
+    except ValueError:
+        raise ValidationError(f"frame indices of shape {i.shape} do not broadcast against "
+                              f"attention rows of shape {row.shape}") from None
+    return row, i
+
+
 def row_spectrum(row, window: Window, i) -> np.ndarray:
     """One-sided magnitude spectrum of an attention row around frame i.
 
@@ -122,16 +148,8 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     may be stacked as (..., N), with ``i`` broadcast against the leading
     axes; ``i`` must have an integer dtype.
     """
-    row = np.asarray(row, dtype=float)
-    if row.ndim == 0 or row.shape[-1] == 0:
-        raise ValidationError(f"attention rows must have shape (..., N) with N >= 1, got shape {row.shape}")
-    n = row.shape[-1]
-    if violation := _integer_rule(i, "i", arrays=True) or _finite_array_rule(row, "attention rows"):
-        raise ValidationError(violation)
-    i = np.asarray(i)
-    if np.any((i < 0) | (i >= n)):
-        raise ValidationError(f"row index {i} out of range [0, {n})")
-    npad = n + 2 * window.half
+    row, i = _rows_at(row, i)
+    npad = row.shape[-1] + 2 * window.half
     deviation = row - row.mean(axis=-1, keepdims=True)
     return _windowed_sums(deviation, window, i, np.arange(npad // 2 + 1), phased=False, period=npad)
 
@@ -170,46 +188,96 @@ def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int]:
     return int(phi1), int(phi2)
 
 
-def _high_band_fraction(rows: np.ndarray, spectra: np.ndarray, phi1: int, phi2: int) -> np.ndarray:
-    power = spectra[..., :phi2] ** 2
-    denominator = power.sum(axis=-1)
-    moving = (rows.max(axis=-1) != rows.min(axis=-1)) & (denominator != 0.0)
-    return np.divide(power[..., phi1:].sum(axis=-1), denominator,
-                     out=np.zeros(denominator.shape), where=moving)
+def _rho(rows: np.ndarray, window: Window, i, phi1, phi2) -> np.ndarray:
+    """``motion_intensity`` of finite rows (..., N) at valid frames ``i``
+    (broadcast to the leading axes), a block of rows at a time.  Only the
+    bins below phi1 and those of the total are transformed: with the default
+    phi2, k = 0 and the Nyquist bin; with a custom phi2, all below it."""
+    n = rows.shape[-1]
+    phi1, phi2 = _band(n, window, phi1, phi2)
+    npad = n + 2 * window.half
+    parseval = phi2 == npad // 2 + 1
+    ks = np.arange(max(phi1, 1) if parseval else phi2)
+    if parseval and npad % 2 == 0:
+        ks = np.append(ks, npad // 2)  # the Nyquist bin, last
+    signals = rows.reshape(-1, n)
+    frames = np.broadcast_to(i, rows.shape[:-1]).ravel()
+    tap_columns = (np.arange(n)[:, None] + np.arange(window.length) - window.half) % n  # per frame
+    rho = np.zeros(len(frames))
+    # per row: its deviation, the taps with their indices here and in the kernel, and the bins
+    for block in _blocks(len(frames), 8 * (n + 6 * window.length + 6 * len(ks))):
+        x = signals[block]
+        moving = (x != x[:, :1]).any(axis=-1)  # max != min
+        x = x - x.mean(axis=-1, keepdims=True)
+        power = _windowed_sums(x, window, frames[block], ks, phased=False, period=npad) ** 2
+        if parseval:
+            taps = x[np.arange(len(x))[:, None], tap_columns[frames[block]]] * window.coefficients
+            nyquist = 0.0 if npad % 2 else power[:, -1]
+            total = (npad * (taps * taps).sum(axis=-1) + power[:, 0] + nyquist) / 2
+        else:
+            total = power.sum(axis=-1)
+        high = np.maximum(total - power[:, :phi1].sum(axis=-1), 0.0)
+        np.divide(high, total, out=rho[block], where=moving & (total != 0.0))
+    return rho.reshape(rows.shape[:-1])
 
 
 def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
                      phi2: int | None = None) -> float:
     """Fraction of a row's windowed spectral power in the high band.
 
-    The power ratio sum_{phi1 <= k < phi2} / sum_{k < phi2} is taken over
-    the one-sided spectrum of the mean-removed row read as periodically
-    padded to Npad = N + 2*(L//2) samples (``row_spectrum``; no padded copy
-    is made), so 0 <= phi1 < phi2 <= Npad//2 + 1.  Defaults:
-    phi2 = Npad//2 + 1 and phi1 = min(ceil(Npad/8), Npad//2).  Rows with zero variation have no
-    motion by definition and return 0.0 exactly, as does a vanishing spectrum.
+    p_k = |X_k|^2 is the one-sided spectrum of the mean-removed row read as
+    periodically padded to Npad = N + 2*(L//2) samples (``row_spectrum``),
+    with 0 <= phi1 < phi2 <= Npad//2 + 1.  With total = sum_{k < phi2} p_k
+    and low = sum_{k < phi1} p_k, rho = max(total - low, 0) / total, so
+    0 <= rho <= 1 holds in floating point too.  For the default phi2 =
+    Npad//2 + 1, total is the whole one-sided power, which Parseval gives
+    from the L windowed deviation samples t: (Npad sum t^2 + p_0 +
+    p_{Npad/2}) / 2, the last term for even Npad only.  A custom phi2 sums
+    its band directly (the power above it, subtracted from that total,
+    would cancel catastrophically).  Defaults: phi2 = Npad//2 + 1 and
+    phi1 = min(ceil(Npad/8), Npad//2).  Rows with zero variation have no
+    motion by definition and return 0.0 exactly, as does a vanishing
+    spectrum.
     """
     row = np.asarray(row, dtype=float)
     if row.ndim != 1:
         raise ValidationError(f"attention row must have shape (N,), got shape {row.shape}")
     if violation := _integer_rule(i, "i"):  # one row, one frame: row_spectrum also takes arrays
         raise ValidationError(violation)
-    phi1, phi2 = _band(len(row), window, phi1, phi2)
-    return float(_high_band_fraction(row, row_spectrum(row, window, i), phi1, phi2))
+    row, i = _rows_at(row, i)
+    return float(_rho(row, window, i, phi1, phi2))
 
 
 def motion_profile(attention_map, window: Window, phi1: int | None = None,
                    phi2: int | None = None) -> MotionProfile:
-    """Motion intensity of every row of an attention map (row i at shift i).
+    """Motion intensity of every row of an attention map (row i at shift i),
+    with the full spectra of the rows.
 
     Maps may be stacked as (..., N, N); rho then has shape (..., N).
     """
     a = as_square(attention_map, "attention map", stacked=True)
-    n = a.shape[-1]
-    phi1, phi2 = _band(n, window, phi1, phi2)
-    spectra = row_spectrum(a, window, np.arange(n))
-    return MotionProfile(rho=_high_band_fraction(a, spectra, phi1, phi2), phi1=phi1,
-                         phi2=phi2, window=window, spectra=spectra)
+    frames = np.arange(a.shape[-1])
+    phi1, phi2 = _band(a.shape[-1], window, phi1, phi2)
+    spectra = row_spectrum(a, window, frames)
+    return MotionProfile(rho=_rho(a, window, frames, phi1, phi2), phi1=phi1, phi2=phi2,
+                         window=window, spectra=spectra)
+
+
+def _penalty(rho: np.ndarray, alpha, corner_size, corner_penalty):
+    """The checked parts of the penalty for rho (..., N): the (N, N) corner
+    mask, the corner size and penalty beta, and the diagonal (..., N)."""
+    if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN fails both comparisons
+        raise ValidationError("rho (motion intensities) must lie in [0, 1]")
+    n = rho.shape[-1]
+    if violation := (_strength_violation(alpha, "alpha")
+                     or _strength_violation(corner_penalty, "corner_penalty")
+                     or _corner_size_violation(corner_size, "corner_size", n)):
+        raise ValidationError(violation)
+    corner_size = n // 4 if corner_size is None else corner_size
+    corner_penalty = alpha / 2.0 if corner_penalty is None else corner_penalty
+    i, j = np.indices((n, n))
+    corner = (i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size)
+    return corner, int(corner_size), float(corner_penalty), -alpha * (1.0 - rho)
 
 
 def build_reweight_matrix(rho, alpha: float, corner_size: int | None = None,
@@ -223,22 +291,13 @@ def build_reweight_matrix(rho, alpha: float, corner_size: int | None = None,
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     if rho.ndim < 1:
         raise ValidationError("rho must be a sequence (or a stack of them)")
-    if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN fails both comparisons
-        raise ValidationError("rho (motion intensities) must lie in [0, 1]")
+    corner, corner_size, corner_penalty, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
     n = rho.shape[-1]
-    if violation := (_strength_violation(alpha, "alpha")
-                     or _strength_violation(corner_penalty, "corner_penalty")
-                     or _corner_size_violation(corner_size, "corner_size", n)):
-        raise ValidationError(violation)
-    corner_size = n // 4 if corner_size is None else corner_size
-    corner_penalty = alpha / 2.0 if corner_penalty is None else corner_penalty
-    i, j = np.indices((n, n))
-    corner = (i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size)
     lam = np.zeros(rho.shape + (n,))
     lam[..., corner] = -corner_penalty
-    lam[..., np.arange(n), np.arange(n)] = -alpha * (1.0 - rho)
-    return ReweightMatrix(matrix=lam, alpha=float(alpha), corner_size=int(corner_size),
-                          corner_penalty=float(corner_penalty))
+    lam[..., np.arange(n), np.arange(n)] = diagonal
+    return ReweightMatrix(matrix=lam, alpha=float(alpha), corner_size=corner_size,
+                          corner_penalty=corner_penalty)
 
 
 def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
@@ -247,21 +306,41 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     """Motion-adaptive attention reweighting over a spatial field.
 
     ``logits_field`` has shape (H, W, N, N) and ``values_field``
-    (H, W, N, d_v).  The plain attention maps of all locations are formed
-    at once, per-row motion intensities set the diagonal of each location's
-    penalty on top of the corner base matrix, and the output is the
-    re-softmaxed attention applied to the values.  Locations are
-    independent: each gets the same bits as when it is run alone.
+    (H, W, N, d_v).  The attention maps a = softmax(l) of all locations are
+    formed at once, and per-row motion intensities set the diagonal of each
+    location's penalty lambda on top of the corner base matrix
+    (``build_reweight_matrix``).  lambda is zero elsewhere, so the
+    reweighted attention softmax(l + lambda) is a with the penalised entries
+    scaled by e^lambda and each row divided by its new sum; no lambda array
+    is built.  A row whose new sum falls below tiny/eps (about 1e-292), as
+    when a penalty below -745 meets a row whose other entries underflowed
+    in a, is re-softmaxed from l + lambda directly.  The output is that
+    attention applied to the values.  Locations are independent: each gets
+    the same bits as when it is run alone.
 
     ``corner_size`` defaults to N//4 and ``corner_penalty`` to alpha/2.
-    With alpha = 0 and corner_penalty = 0 the output equals plain attention.
+    With alpha = 0 and corner_penalty = 0 the output is plain attention, to
+    rounding.
     """
     logits_field = as_field(logits_field)
     values_field = np.asarray(values_field, dtype=float)
     if values_field.ndim != 4 or values_field.shape[:3] != logits_field.shape[:3]:
         raise ValidationError(
             f"values field shape {values_field.shape} does not match logits field {logits_field.shape}")
-    rho = motion_profile(softmax_rows(logits_field), window, phi1, phi2).rho  # spectra freed now
-    penalty = build_reweight_matrix(rho, alpha, corner_size, corner_penalty)
-    attention, outputs = reweighted_attention(logits_field, penalty, values_field)
-    return TiaraResult(outputs=outputs, attention=attention, rho=rho)
+    attention = softmax_rows(logits_field)
+    frames = np.arange(attention.shape[-1])
+    rho = _rho(attention, window, frames, phi1, phi2)
+    corner, _, beta, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
+    if violation := _finite_array_rule(values_field, "values"):
+        raise ValidationError(violation)
+    attention *= np.where(corner, np.exp(-beta), 1.0)
+    attention[..., frames, frames] *= np.exp(diagonal)
+    total = attention.sum(axis=-1, keepdims=True)
+    kept = total >= _RESCALE_FLOOR
+    np.divide(attention, total, out=attention, where=kept)
+    if not kept.all():
+        rows = np.nonzero(~kept[..., 0])  # (h, w, i) of each row to re-softmax
+        lam = np.where(corner[rows[-1]], -beta, 0.0)
+        lam[np.arange(len(lam)), rows[-1]] = diagonal[rows]
+        attention[rows] = softmax_rows(logits_field[rows] + lam)
+    return TiaraResult(outputs=attention @ values_field, attention=attention, rho=rho)

@@ -13,7 +13,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .attention import as_field, motion_profile, softmax_rows, tiara
+from .attention import _rho, as_field, row_spectrum, softmax_rows, tiara
 from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import ConfigError, TensorFileError, ValidationError, _finite_rule
 from .promptblend import (TokenTable, _layer_rule, align, conditioning, embed_aligned,
@@ -48,17 +48,18 @@ def _resolve_config(args) -> Config:
 
 def cmd_analyze(args) -> int:
     config = _resolve_config(args)
-    logits = as_field(read_tensor(args.input))
-    profile = motion_profile(softmax_rows(logits), config.window(), config.phi1, config.phi2)
-    write_tensor(args.output, profile.rho)
+    attention = softmax_rows(as_field(read_tensor(args.input)))
+    window, frames = config.window(), np.arange(attention.shape[-1])
+    write_tensor(args.output, _rho(attention, window, frames, config.phi1, config.phi2))
     if args.spectrogram:
-        h, w, n, bins = profile.spectra.shape
+        spectra = row_spectrum(attention, window, frames)
+        h, w, n, bins = spectra.shape
         row_keys = [f"{i},{k}," for i, k in itertools.product(range(n), range(bins))]
         with open(args.spectrogram, "w", encoding="utf-8") as handle:
             handle.write("h,w,i,k,magnitude\n")
             # one (h, w) location at a time; repr keeps every digit of a magnitude
             for (hi, wi), location in zip(itertools.product(range(h), range(w)),
-                                          profile.spectra.reshape(h * w, n * bins)):
+                                          spectra.reshape(h * w, n * bins)):
                 prefix = f"{hi},{wi},"
                 handle.write("".join([f"{prefix}{key}{magnitude!r}\n" for key, magnitude
                                       in zip(row_keys, location.tolist())]))

@@ -178,6 +178,34 @@ class TestMotionIntensity:
             expected = rho_reference(list(row), list(w.coefficients), i)
             assert motion_intensity(row, w, i) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["rectangular", "hann", "gaussian", "blackman"])
+    def test_every_band_matches_reference(self, kind):
+        # odd and even Npad, L > N, and custom bands: the default band's
+        # total comes from Parseval, a custom band's from its own bins
+        rng = np.random.default_rng(35)
+        for length in (1, 2, 7, 8, 13):
+            w = make_window(kind, length)
+            for n in (1, 2, 3, 6, 16):
+                npad = n + 2 * (length // 2)
+                row = softmax_rows(3.0 * rng.standard_normal(n))
+                i = int(rng.integers(0, n))
+                phi2 = int(rng.integers(1, npad // 2 + 2))
+                for phi1, top in ((None, None), (int(rng.integers(0, phi2)), phi2),
+                                  (int(rng.integers(0, npad // 2 + 1)), None)):
+                    got = motion_intensity(row, w, i, phi1, top)
+                    expected = rho_reference(list(row), list(w.coefficients), i, phi1, top)
+                    assert 0.0 <= got <= 1.0
+                    assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_custom_band_rho_is_at_most_one(self):
+        # summing the high band apart from the total gave 1.0000000000000002
+        logits = np.random.default_rng(1).standard_normal(6) * 30
+        w = make_window("hann", 13)
+        assert 0.0 <= motion_intensity(softmax_rows(logits), w, 2, 1, 9) <= 1.0
+        field = np.broadcast_to(logits, (1, 1, 6, 6))
+        result = tiara(field, np.zeros((1, 1, 6, 1)), w, 1, 9)  # raised: rho must lie in [0, 1]
+        assert np.all((result.rho >= 0.0) & (result.rho <= 1.0))
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(27)
         w = make_window("hann", 7)
@@ -204,6 +232,12 @@ class TestMotionIntensity:
             row_spectrum(np.arange(8.0), w, i)
         with pytest.raises(ValidationError, match=message):
             motion_intensity(np.arange(8.0), w, i)
+
+    def test_frame_indices_must_broadcast_against_the_rows(self):
+        # escaped as NumPy's plain "shape mismatch" ValueError
+        message = "frame indices of shape (4,) do not broadcast against attention rows of shape (3, 5)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            row_spectrum(np.ones((3, 5)), make_window("blackman", 9), np.arange(4))
 
     @pytest.mark.parametrize("call, message", [
         (lambda w: motion_intensity(np.ones((3, 5)), w, 0), "attention row must have shape (N,), got shape (3, 5)"),
@@ -417,3 +451,44 @@ class TestTiaraPipeline:
                 assert np.array_equal(stacked.rho[hi, wi], alone.rho[0, 0])
                 assert np.array_equal(stacked.attention[hi, wi], alone.attention[0, 0])
                 assert np.array_equal(stacked.outputs[hi, wi], alone.outputs[0, 0])
+
+    def test_underflowed_rows_are_re_softmaxed_directly(self):
+        # a row whose mass sits on its diagonal, which a penalty near -800
+        # scales to 0 as well: the rescaled row would be 0/0
+        logits = np.zeros((1, 2, 3, 3))
+        logits[0, 0, 0] = [0.0, -760.0, -760.0]
+        logits[0, 1, 1] = [-760.0, 0.0, -np.inf]
+        logits[0, 1, 2, 0] = -np.inf
+        values = np.arange(18.0).reshape(1, 2, 3, 3)
+        result = tiara(logits, values, make_window("hann", 3), alpha=2400.0, corner_size=0)
+        penalty = build_reweight_matrix(result.rho, 2400.0, 0)
+        plain = softmax_rows(logits)
+        for h, w, i in [(0, 0, 0), (0, 1, 1)]:
+            assert plain[h, w, i, i] == 1.0 and penalty.matrix[h, w, i, i] < -760.0
+        attention, outputs = reweighted_attention(logits, penalty, values)
+        assert np.all(np.isfinite(result.attention)) and np.all(np.isfinite(result.outputs))
+        assert np.abs(result.attention - attention).max() <= 1e-10
+        assert np.abs(result.outputs - outputs).max() <= 1e-10
+        assert result.attention[0, 1, 1, 2] == 0.0 and result.attention[0, 1, 2, 0] == 0.0
+
+    def test_traced_peak_holds_one_attention_map(self, monkeypatch):
+        """The arrays that must exist at once: the attention maps, reweighted
+        in place (8 N^2 bytes per location), the outputs (8 N d_v), and a few
+        vectors of N floats per location: rho, the row maxima and sums, the
+        frame indices and the diagonal factors, at most 8 of them.  Then one
+        block of the rho walk: the walker sizes its rows' deviation, taps
+        and bins within one budget, and one more covers the temporaries of
+        the expression being formed; 16 KiB covers the small tables.  A
+        penalty array, the shifted logits, a second softmax or the rows'
+        deviation would each add 8 N^2 bytes per location."""
+        h, w, n, d_v = 16, 16, 16, 4
+        rng = np.random.default_rng(34)
+        logits, values = rng.standard_normal((h, w, n, n)), rng.standard_normal((h, w, n, d_v))
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            tiara(logits, values, make_window("blackman", 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h * w * 8 * (n * n + n * d_v + 8 * n) + 2 * spectral._BLOCK_BYTES + (16 << 10)

@@ -383,6 +383,27 @@ class TestAnalyzeCommand:
         for i in range(10):
             assert rho[i] == motion_intensity(attention[i], w, i)
 
+    def test_rho_bytes_do_not_depend_on_the_spectrogram(self, tmp_path):
+        write_tensor(tmp_path / "l.tf", np.random.default_rng(94).standard_normal((2, 3, 7, 7)))
+        written = []
+        for extra in ([], ["--spectrogram", tmp_path / "spec.csv"]):
+            assert run_cli("analyze", "--input", tmp_path / "l.tf", "--output", tmp_path / "rho.tf",
+                           *extra) == 0
+            written.append((tmp_path / "rho.tf").read_bytes())
+        assert written[0] == written[1]
+
+    def test_custom_band_keeps_rho_in_the_unit_interval(self, tmp_path):
+        # analyze wrote 1.0000000000000002 and reweight exited 2 on this field
+        logits = np.broadcast_to(np.random.default_rng(1).standard_normal(6) * 30, (1, 1, 6, 6))
+        write_tensor(tmp_path / "l.tf", logits)
+        write_tensor(tmp_path / "v.tf", np.zeros((1, 1, 6, 1)))
+        band = ["--window-kind", "hann", "--window-length", 13, "--phi1", 1, "--phi2", 9]
+        assert run_cli("analyze", "--input", tmp_path / "l.tf", "--output", tmp_path / "rho.tf", *band) == 0
+        assert read_tensor(tmp_path / "rho.tf").max() <= 1.0
+        assert run_cli("reweight", "--logits", tmp_path / "l.tf", "--values", tmp_path / "v.tf",
+                       "--out-values", tmp_path / "o.tf", "--out-attention", tmp_path / "a.tf",
+                       *band) == 0
+
     def test_rerun_bit_identical_and_csv(self, tmp_path):
         rng = np.random.default_rng(73)
         lp = tmp_path / "l.tf"

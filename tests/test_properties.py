@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiara import conditioning, make_schedule, make_window, tiara
+from tiara import conditioning, make_schedule, make_window, motion_profile, softmax_rows, tiara
 from tiara.spectral import WINDOW_KINDS
 
 from oracles import algorithm_reference
@@ -58,6 +58,31 @@ def test_large_logits_keep_the_invariants(case):
     assert np.abs(result.attention.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-12
     assert np.all((result.rho >= 0.0) & (result.rho <= 1.0))
     assert np.all(result.attention[case["mask"]] == 0.0)
+
+
+@st.composite
+def banded_fields(draw):
+    """A (H, W, N, N) logits field, sharp or flat, with a window and a band
+    0 <= phi1 < phi2 <= Npad//2 + 1 whose ends may be the defaults."""
+    n = draw(st.integers(1, 12))
+    window = make_window(draw(st.sampled_from(WINDOW_KINDS)), draw(st.integers(1, 13)))
+    npad = n + 2 * window.half
+    phi2 = draw(st.one_of(st.none(), st.integers(1, npad // 2 + 1)))
+    phi1 = draw(st.one_of(st.none(), st.integers(0, npad // 2)) if phi2 is None
+                else st.integers(0, phi2 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    return scale * rng.standard_normal((draw(st.integers(1, 2)), 2, n, n)), window, phi1, phi2
+
+
+@PROPERTY
+@given(banded_fields())
+def test_rho_lies_in_the_unit_interval_for_every_band(case):
+    logits, window, phi1, phi2 = case
+    rho = motion_profile(softmax_rows(logits), window, phi1, phi2).rho
+    assert np.all((rho >= 0.0) & (rho <= 1.0))
+    result = tiara(logits, np.ones(logits.shape[:3] + (1,)), window, phi1, phi2)
+    assert np.array_equal(result.rho, rho)
 
 
 @st.composite
