@@ -124,8 +124,9 @@ def _rows_at(row, i) -> tuple[np.ndarray, np.ndarray]:
     if violation := _integer_rule(i, "i", arrays=True) or _finite_array_rule(row, "attention rows"):
         raise ValidationError(violation)
     i = np.asarray(i)
-    if np.any((i < 0) | (i >= n)):
-        raise ValidationError(f"row index {i} out of range [0, {n})")
+    bad = i[(i < 0) | (i >= n)]
+    if bad.size:
+        raise ValidationError(f"row index {bad[0]} out of range [0, {n})")
     try:
         np.broadcast_shapes(row.shape[:-1], i.shape)
     except ValueError:

@@ -42,16 +42,6 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     return dstft_magnitudes(x, w, taus, np.arange(k_t, n // 2 + 1))
 
 
-def separation(mag_x, mag_d, tol: float = KAPPA_TOLERANCE) -> float:
-    """Largest ratio mag_d / mag_x over the positions where mag_x >= tol,
-    or 0 if there are none (the bound is vacuous where x has no power).
-    ``tol`` must be finite and >= 0."""
-    if violation := _finite_rule(tol, "tol", 0):
-        raise ValidationError(violation)
-    keep = mag_x >= tol
-    return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0
-
-
 def inconsistency_error(x, w: Window, tau: int, k_t: int) -> float:
     """Sum of windowed-transform magnitudes over k in [k_t, N//2] at shift tau."""
     return float(high_band(x, w, k_t, tau).sum())
@@ -78,14 +68,26 @@ def estimate_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE) 
     """Worst-case high-band magnitude ratio |T(x_dyn)| / |T(x)|.
 
     The maximum runs over every shift tau in [0, N) and frequency
-    k in [k_t, N//2]; positions where |T(x)| < tol are skipped (see
-    ``separation``).  Returns 0 if every position is skipped.
+    k in [k_t, N//2]; positions where |T(x)| < tol (finite, >= 0) are
+    skipped, as the bound is vacuous there.  Returns 0 if all are skipped.
     """
     x = as_signal(x)
     x_dyn = as_signal(x_dyn)
     if len(x) != len(x_dyn):
         raise ValidationError("x and x_dyn must have the same length")
-    return separation(high_band(x, w, k_t), high_band(x_dyn, w, k_t), tol)
+    return _error_and_kappa(x, x_dyn, w, k_t, tol)[1]
+
+
+def _error_and_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE):
+    """E(x, tau) per shift and ``estimate_kappa``'s kappa of one signal pair,
+    from two tables: x_dyn's is this call's own, so it is divided in place."""
+    mag_x = high_band(x, w, k_t)
+    if violation := _finite_rule(tol, "tol", 0):
+        raise ValidationError(violation)
+    keep = mag_x >= tol
+    ratio = high_band(x_dyn, w, k_t)
+    np.divide(ratio, mag_x, out=ratio, where=keep)
+    return mag_x.sum(axis=-1), float(ratio.max(where=keep, initial=0.0))
 
 
 def homogeneity_deviation(a) -> float:

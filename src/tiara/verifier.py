@@ -7,10 +7,10 @@ the reweighting coefficient alpha from the closed form that balances
 iota + kappa * lambda = eta, applies the purely diagonal penalty, and
 compares the per-shift inconsistency errors of the reweighted output
 against the original.  Each of the four signals x, x_dyn, y and y_dyn is
-transformed once, into one high-band table.  One predicate decides
-feasibility for the instance flag, ``require_feasible`` and the closed
-form.  The guarantee is asymptotic, so a finite-size slack is added to
-eta: 0.05 for N >= 128 and 0.15 below.
+transformed once, and each pair is read from its two tables alone.  One
+predicate decides feasibility for the instance flag, ``require_feasible``
+and the closed form.  The guarantee is asymptotic, so a finite-size
+slack is added to eta: 0.05 for N >= 128 and 0.15 below.
 
 The reweighted map softmax(log a - alpha * I) is never formed.  With row
 sums s, diagonal d, q = e^-alpha and x = a @ v, its row i is
@@ -18,8 +18,8 @@ a[i, j] * q^[i = j] / den_i with den = s - (1 - q) * d, so
 y = (x - (1 - q) * d * v) / den, y_dyn = (x - d * v) / den and
 x_dyn = x - d * v: O(N) work after the one matvec.  The verifier holds no
 N x N array beyond the attention map and fixed-size transform blocks, so
-``verify-theorem --sizes 2048`` peaks at about 135 MiB of RSS and
-``--sizes 4096`` at about 430 MiB (2-core x86_64, NumPy 2.4).
+``verify-theorem --sizes 2048`` peaks at about 105 MiB of RSS and
+``--sizes 4096`` at about 300 MiB (2-core x86_64, NumPy 2.4).
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from math import log
 
 import numpy as np
 
-from .consistency import high_band, homogeneity_deviation, separation
+from .consistency import _error_and_kappa, homogeneity_deviation
 from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
 from .spectral import Window, as_square
 
@@ -177,7 +177,7 @@ class TheoremReport:
 def make_instance(attention, values, window: Window, k_t: int, eta: float) -> TheoremInstance:
     """Measure kappa-hat, the smallest diagonal entry, the homogeneity
     deviation and E(x, tau) of an attention/values pair, and flag
-    feasibility.  One high-band table of x gives kappa-hat and E(x, tau)."""
+    feasibility.  One reduction of (x, x_dyn) gives kappa-hat and E(x, tau)."""
     a = as_square(attention, "attention")
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValidationError("attention entries must lie in [0, 1]")
@@ -191,14 +191,12 @@ def make_instance(attention, values, window: Window, k_t: int, eta: float) -> Th
         raise ValidationError(violation)
     x = a @ v
     d = np.diag(a)
-    mag_x = high_band(x, window, k_t)
-    kappa_hat = separation(mag_x, high_band(x - d * v, window, k_t))
+    e_x, kappa_hat = _error_and_kappa(x, x - d * v, window, k_t)
     a_min = float(d.min())
     return TheoremInstance(attention=a, values=v, window=window, k_t=int(k_t), eta=float(eta),
-                           kappa_hat=kappa_hat, a_min=a_min,
+                           kappa_hat=kappa_hat, a_min=a_min, e_x=e_x,
                            homogeneity_dev=homogeneity_deviation(a),
-                           feasible=_violation(kappa_hat, eta, a_min, "kappa_hat") is None,
-                           e_x=mag_x.sum(axis=-1))
+                           feasible=_violation(kappa_hat, eta, a_min, "kappa_hat") is None)
 
 
 def require_feasible(instance: TheoremInstance) -> None:
@@ -214,8 +212,8 @@ def verify_theorem(instance: TheoremInstance) -> TheoremReport:
     one that is not before any work is done.
 
     The reweighted outputs y and y_dyn come from the closed form in the
-    module docstring.  E(x, tau) is ``instance.e_x``; one high-band table
-    of y gives E(y, tau) and kappa_on_y.  Shifts where E(x, tau) falls
+    module docstring.  E(x, tau) is ``instance.e_x``; one reduction of
+    (y, y_dyn) gives E(y, tau) and kappa_on_y.  Shifts where E(x, tau) falls
     below 1e-12 are skipped in the ratio; if every shift is skipped the
     instance has no inconsistency to reduce and the run is rejected.
     """
@@ -235,15 +233,11 @@ def verify_theorem(instance: TheoremInstance) -> TheoremReport:
     x = a @ v
     # row sums, not 1: rows summing to 1 within 1e-9 still match the softmax
     den = a.sum(axis=1) - (1.0 - q) * d
-    mag_y = high_band((x - (1.0 - q) * d * v) / den, instance.window, instance.k_t)
-    e_y = mag_y.sum(axis=-1)
-
-    ratios = np.full(n, np.nan)
-    kept = e_x >= E_TOLERANCE
-    ratios[kept] = e_y[kept] / e_x[kept]
+    e_y, kappa_on_y = _error_and_kappa((x - (1.0 - q) * d * v) / den, (x - d * v) / den,
+                                       instance.window, instance.k_t)
+    ratios = np.divide(e_y, e_x, out=np.full(n, np.nan), where=e_x >= E_TOLERANCE)
     max_ratio = float(np.nanmax(ratios))
     s = slack(n)
-    kappa_on_y = separation(mag_y, high_band((x - d * v) / den, instance.window, instance.k_t))
     return TheoremReport(
         n=n, eta=instance.eta, k_t=instance.k_t, alpha=alpha,
         iota=iota(alpha, instance.a_min), lambda_coef=lambda_coef(alpha, instance.a_min),

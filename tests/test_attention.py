@@ -239,6 +239,13 @@ class TestMotionIntensity:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             row_spectrum(np.ones((3, 5)), make_window("blackman", 9), np.arange(4))
 
+    @pytest.mark.parametrize("i, first", [(np.arange(3, 9), 5), (np.arange(3, 1000), 5),
+                                          (np.array([[0, -2], [7, 1]]), -2), (5, 5)])
+    def test_out_of_range_frame_names_the_first(self, i, first):
+        # the whole index array was printed, and NumPy elides a long one
+        with pytest.raises(ValidationError, match=rf"^row index {first} out of range \[0, 5\)$"):
+            row_spectrum(np.ones(5), make_window("hann", 5), i)
+
     @pytest.mark.parametrize("call, message", [
         (lambda w: motion_intensity(np.ones((3, 5)), w, 0), "attention row must have shape (N,), got shape (3, 5)"),
         (lambda w: motion_intensity(0.5, w, 0), "attention row must have shape (N,), got shape ()"),
@@ -307,6 +314,10 @@ class TestMotionIntensity:
 
 
 class TestBuildReweightMatrix:
+    def test_scalar_rho_rejected(self):
+        with pytest.raises(ValidationError, match=r"^rho must be a sequence \(or a stack of them\)$"):
+            build_reweight_matrix(0.5, 1.0)
+
     def test_full_motion_zeroes_diagonal(self):
         got = build_reweight_matrix(np.ones(5), alpha=4.0, corner_size=0, corner_penalty=1.0)
         assert np.array_equal(got.matrix, np.zeros((5, 5)))

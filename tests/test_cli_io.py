@@ -67,6 +67,13 @@ class TestTensorFile:
         with pytest.raises(TensorFileError, match="byte offset 8"):
             read_tensor(path)
 
+    def test_truncated_dimension_list(self, tmp_path):
+        path = tmp_path / "bad.tf"
+        path.write_bytes(struct.pack("<4sII", b"TIAR", 1, 3) + struct.pack("<Q", 4))
+        with pytest.raises(TensorFileError, match="^truncated dimension list") as excinfo:
+            read_tensor(path)
+        assert excinfo.value.offset == 20
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.tf"
         good = struct.pack("<4sII", b"TIAR", 1, 1) + struct.pack("<Q", 3) + b"\x00" * 24
@@ -177,6 +184,15 @@ class TestConfig:
         path.write_text("beta = 1\n")
         with pytest.raises(ConfigError, match="unknown key 'beta'"):
             load_config(path)
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        path = tmp_path / "tiara.cfg"
+        path.write_text("alpha = 5\nalpha 5\n")
+        with pytest.raises(ConfigError, match=f"^{path}:2: expected key=value, got 'alpha 5'$"):
+            load_config(path)
+        assert run_cli("verify-theorem", "--sizes", "32", "--config", path) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"tiara: {path}:2: expected key=value, got 'alpha 5'")
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "tiara.cfg"
@@ -717,6 +733,25 @@ class TestVerifyTheoremCommand:
         if code == 0:
             assert "PASS n=32" in report.read_text()
 
+    @pytest.mark.parametrize("given", ["--logits", "--values"])
+    def test_logits_and_values_come_together(self, tmp_path, capsys, given):
+        path = tmp_path / "t.tf"
+        write_tensor(path, np.zeros(4))
+        assert run_cli("verify-theorem", given, path) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "tiara: --logits and --values must be given together")
+
+    def test_zero_values_carry_no_inconsistency(self, tmp_path, capsys):
+        lp, vp = tmp_path / "l.tf", tmp_path / "v.tf"
+        write_tensor(lp, gen_homogeneous_attention(32, 1.0))
+        write_tensor(vp, np.zeros(32))
+        report = tmp_path / "report.txt"
+        assert run_cli("verify-theorem", "--logits", lp, "--values", vp, "--report", report) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "tiara: Assumption 1 violated: every E(x, tau) is below tolerance; "
+            "the instance carries no inconsistency to reduce")
+        assert not report.exists()
+
     @pytest.mark.parametrize("sizes, named", [
         ("32,abc", "'abc' is not an integer"),
         ("32,4.5", "'4.5' is not an integer"),
@@ -851,6 +886,30 @@ class TestBlendCommand:
                        "--timestep", 0.5, "--layer", 0)
         assert code == 2
         assert ":2:" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, tmp_path, blend_files):
+        prompts, spans, tokens, embeddings, _ = blend_files
+        args = ["--tokens", tokens, "--embeddings", embeddings, "--dump-all", "--timestep", 0.8,
+                "--layer", 0]
+        assert run_cli("blend", "--prompts", prompts, "--spans", spans, *args,
+                       "--output", tmp_path / "want.tf") == 0
+        blank_prompts, blank_spans = tmp_path / "blank_prompts.txt", tmp_path / "blank_spans.txt"
+        blank_prompts.write_text("\n" + prompts.read_text().replace("\n", "\n  \n"))
+        blank_spans.write_text("\t\n" + spans.read_text().replace("\n", "\n\n"))
+        assert run_cli("blend", "--prompts", blank_prompts, "--spans", blank_spans, *args,
+                       "--output", tmp_path / "got.tf") == 0
+        assert (tmp_path / "got.tf").read_bytes() == (tmp_path / "want.tf").read_bytes()
+
+    def test_span_line_of_three_fields_names_its_text(self, tmp_path, blend_files, capsys):
+        prompts, spans, tokens, embeddings, _ = blend_files
+        spans.write_text("0 50\n150 310 400\n")
+        code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                       "--tokens", tokens, "--embeddings", embeddings,
+                       "--output", tmp_path / "cond.tf", "--frame", 0,
+                       "--timestep", 0.5, "--layer", 0)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"tiara: {spans}:2: expected 'start end', got '150 310 400'")
 
     def test_bad_span_line_names_its_text(self, tmp_path, blend_files, capsys):
         prompts, spans, tokens, embeddings, _ = blend_files

@@ -9,7 +9,7 @@ import pytest
 from tiara import (ValidationError, consistency, dynamic_component, estimate_kappa,
                    homogeneity_deviation, inconsistency_error, inconsistency_profile,
                    make_window, motion_profile, row_spectrum, softmax_rows, spectral)
-from tiara.consistency import high_band, separation
+from tiara.consistency import KAPPA_TOLERANCE, _error_and_kappa, high_band
 from tiara.spectral import dstft_bins, dstft_magnitudes
 
 from oracles import naive_dstft
@@ -98,8 +98,7 @@ class TestHighBand:
         w = make_window("gaussian", 5)
         assert np.array_equal(inconsistency_profile(x, w, 2).per_tau,
                               high_band(x, w, 2).sum(axis=-1))
-        assert estimate_kappa(x, x_dyn, w, 2) == separation(high_band(x, w, 2),
-                                                            high_band(x_dyn, w, 2))
+        assert estimate_kappa(x, x_dyn, w, 2) == _masked_copy_kappa(x, x_dyn, w, 2, KAPPA_TOLERANCE)
 
     def test_threshold_validation(self):
         with pytest.raises(ValidationError, match="k_threshold"):
@@ -156,27 +155,64 @@ class TestHighBand:
         assert calls == [(2048,)]
 
 
+def _masked_copy_kappa(x, x_dyn, w, k_t, tol):
+    """kappa read through masked copies of both tables: the oracle for the
+    in-place reduction."""
+    mag_x, mag_d = high_band(x, w, k_t), high_band(x_dyn, w, k_t)
+    keep = mag_x >= tol
+    return float((mag_d[keep] / mag_x[keep]).max()) if keep.any() else 0.0
+
+
 class TestSeparation:
+    """The separation coefficient kappa, with E(x, tau), from the one
+    reduction of a signal pair (x, x_dyn)."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(56)
+        for n, kind, length in ((7, "hann", 3), (16, "blackman", 9), (33, "gaussian", 8),
+                                (64, "rectangular", 1)):
+            yield rng.standard_normal(n), rng.standard_normal(n), make_window(kind, length)
+
+    def test_error_is_the_row_sum_of_the_table(self):
+        for x, x_dyn, w in self._pairs():
+            e_x, _ = _error_and_kappa(x, x_dyn, w, 2)
+            assert np.array_equal(e_x, high_band(x, w, 2).sum(axis=-1))
+
     def test_skips_positions_below_tolerance(self):
-        mag_x = np.array([[1e-13, 2.0], [4.0, 0.5]])
-        mag_d = np.array([[9.0, 1.0], [1.0, 0.25]])
-        assert separation(mag_x, mag_d) == 0.5
-        assert separation(mag_x, mag_d, tol=1e-14) == 9.0 / 1e-13
+        # tols at quantiles of |T(x)|; the smallest magnitudes give the
+        # largest ratios, so a floor above them lowers kappa
+        for x, x_dyn, w in self._pairs():
+            mag_x = high_band(x, w, 2)
+            tols = [KAPPA_TOLERANCE, *np.quantile(mag_x, [0.0, 0.1, 0.5, 0.9, 1.0])]
+            kappas = [_error_and_kappa(x, x_dyn, w, 2, tol)[1] for tol in tols]
+            assert kappas == [_masked_copy_kappa(x, x_dyn, w, 2, tol) for tol in tols]
+            assert kappas[1] > kappas[3] > 0.0
 
     def test_nothing_kept_is_zero(self):
-        assert separation(np.zeros((3, 2)), np.ones((3, 2))) == 0.0
+        for x, x_dyn, w in self._pairs():
+            assert _error_and_kappa(np.zeros(len(x)), x_dyn, w, 2)[1] == 0.0
+            assert _error_and_kappa(x, x_dyn, w, 2, 2.0 * high_band(x, w, 2).max())[1] == 0.0
 
     @pytest.mark.parametrize("tol", [np.nan, -1e-12, np.inf])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
         # tol = nan skipped every position and read as perfect separation (0.0)
+        x, w = np.arange(8.0), make_window("hann", 5)
         message = f"^tol must be finite and >= 0, got {tol}$"
         with pytest.raises(ValidationError, match=message):
-            separation(np.ones((3, 2)), np.ones((3, 2)), tol)
+            _error_and_kappa(x, x, w, 2, tol)
         with pytest.raises(ValidationError, match=message):
-            estimate_kappa(np.arange(8.0), np.arange(8.0), make_window("hann", 5), 2, tol)
+            estimate_kappa(x, x, w, 2, tol)
+        with pytest.raises(ValidationError, match="k_threshold"):  # named first
+            estimate_kappa(x, x, w, 5, tol)
 
     def test_zero_tolerance_keeps_every_position(self):
-        assert separation(np.array([[1e-300, 2.0]]), np.array([[1e-301, 1.0]]), 0.0) == 0.5
+        # |T(x)| near 1e-290 lies below the default floor but is kept at tol = 0
+        for x, x_dyn, w in self._pairs():
+            x, x_dyn = 1e-290 * x, 1e-290 * x_dyn
+            kappa = _error_and_kappa(x, x_dyn, w, 2, 0.0)[1]
+            assert kappa == _masked_copy_kappa(x, x_dyn, w, 2, 0.0) > 0.0
+            assert _error_and_kappa(x, x_dyn, w, 2)[1] == 0.0
 
 
 class TestDynamicComponent:
@@ -249,6 +285,9 @@ class TestHomogeneityDeviation:
 
     def test_identity_is_zero(self):
         assert homogeneity_deviation(np.eye(6)) == 0.0
+
+    def test_empty_map_is_zero(self):
+        assert homogeneity_deviation(np.zeros((0, 0))) == 0.0
 
     def test_single_perturbation(self):
         base = np.array([0.4, 0.3, 0.2, 0.1])

@@ -142,3 +142,15 @@ def test_one_module_sizes_blocks():
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
              if "BLOCK_BYTES" in line]
     assert found == []
+
+
+def test_verifier_reads_high_bands_through_one_reduction():
+    """tiara/verifier.py names no transform: E and kappa of each signal pair
+    come from ``consistency``'s one pair reduction, never from tables the
+    verifier builds or reads itself."""
+    pattern = re.compile(r"\b(high_band|dstft_magnitudes|dstft_bins)\b")
+    path = Path(tiara.__file__).parent / "verifier.py"
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if pattern.search(line)]
+    assert found == []

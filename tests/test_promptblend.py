@@ -72,6 +72,10 @@ class TestTokenTable:
             TokenTable.from_lines(["dog\tx"])
 
 
+    def test_negative_id(self):
+        with pytest.raises(ValidationError, match="^token table line 2: id must be >= 0$"):
+            TokenTable.from_lines(["dog\t0", "cat\t-1"])
+
 class TestAlign:
     def test_cyclic_repetition(self):
         prompts = [organized([7, 8, 9], [1], [1], [1], [1]),
@@ -116,6 +120,10 @@ class TestAlign:
         assert second.component_lengths == first.component_lengths
         assert np.array_equal(second.prompts, first.prompts)
 
+    def test_four_components_rejected(self):
+        with pytest.raises(ValidationError, match="^prompt must have exactly 5 components, got 4$"):
+            align([organized([1], [2], [3], [4], [5]), organized([1], [2], [3], [4])])
+
     def test_no_prompts_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
             align([])
@@ -128,6 +136,12 @@ class TestEmbedAligned:
         embedded = embed_aligned(aligned, table)
         assert embedded.shape == (1, 6, 5)
         assert np.array_equal(embedded[0, 0], table[0])
+
+    def test_rank_one_table_rejected(self):
+        aligned = align([organized([0], [0], [0], [0], [0])])
+        message = "embedding table must be rank 2 (vocab x d), got shape (4,)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            embed_aligned(aligned, np.zeros(4))
 
     def test_out_of_vocabulary_id(self):
         aligned = align([organized([9], [0], [0], [0], [0])])
@@ -187,6 +201,10 @@ class TestSchedule:
         with pytest.raises(ValidationError,
                            match=f"^layer_threshold must be an integer >= 0, got {layer}{dtype}$"):
             make_schedule([(0, 10)], (0.5, 1.0), layer)
+
+    def test_no_spans_rejected(self):
+        with pytest.raises(ValidationError, match="^at least one frame span is required$"):
+            make_schedule([], (0.5, 1.0), 8)
 
     def test_total_frames(self):
         schedule = make_schedule([(0, 50), (150, 310)], (0.6, 1.0), 8)
@@ -259,6 +277,12 @@ class TestConditioning:
         schedule, embedded = blend_setup
         with pytest.raises(ValidationError, match="out of range"):
             conditioning(schedule, embedded, 310, 0.0, 0)
+
+    def test_rank_two_prompts_rejected(self, blend_setup):
+        schedule, embedded = blend_setup
+        message = "embedded prompts must be (m, total_length, d), got (2, 24)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            conditioning(schedule, embedded.reshape(2, 24), 0, 0.0, 0)
 
     def test_prompt_count_mismatch(self, blend_setup):
         schedule, _ = blend_setup

@@ -26,6 +26,12 @@ class TestDft:
             expected = naive_dft(list(x), k)
             assert abs(dft(x, k) - expected) <= 1e-12 * max(1.0, abs(expected))
 
+    @pytest.mark.parametrize("x, shape", [(np.ones((2, 3)), "(2, 3)"), ([], "(0,)"), (1.0, "()")])
+    def test_signal_must_be_one_dimensional_and_non_empty(self, x, shape):
+        message = f"signal must be a 1-D sequence of length >= 1, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dft(x, 0)
+
     def test_frequency_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
             dft([1.0, 2.0], 2)

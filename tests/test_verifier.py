@@ -2,6 +2,7 @@
 instance generators, and the inconsistency-reduction check."""
 
 import dataclasses
+import re
 import tracemalloc
 from math import exp, log
 
@@ -13,7 +14,7 @@ from tiara import (ValidationError, alpha_from_closed_form, dynamic_component,
                    gen_inconsistent_values, homogeneity_deviation,
                    inconsistency_profile, iota, lambda_coef, make_instance,
                    make_window, softmax_rows, verify_theorem)
-from tiara import consistency, verifier
+from tiara import consistency, spectral
 from tiara.verifier import require_feasible, slack
 
 from oracles import closed_form_rows
@@ -193,6 +194,20 @@ class TestVerifyTheorem:
             make_instance(a, gen_inconsistent_values(8, 1.0, 1e-4, 0), make_window("blackman", 9),
                           5, 0.9)
 
+    def test_rows_off_one_rejected(self):
+        a = softmax_rows(gen_homogeneous_attention(8, 1.0))
+        a[2] *= 1.0 + 1e-8
+        with pytest.raises(ValidationError, match="^attention rows must sum to 1 within 1e-9$"):
+            make_instance(a, gen_inconsistent_values(8, 1.0, 1e-4, 0), make_window("blackman", 9),
+                          2, 0.9)
+
+    @pytest.mark.parametrize("values, shape", [(np.ones(7), "(7,)"), (np.ones((8, 1)), "(8, 1)")])
+    def test_values_of_the_wrong_shape_rejected(self, values, shape):
+        a = softmax_rows(gen_homogeneous_attention(8, 1.0))
+        message = f"values must be a vector of length 8, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_instance(a, values, make_window("blackman", 9), 2, 0.9)
+
     def test_slack_schedule(self):
         assert slack(32) == 0.15
         assert slack(127) == 0.15
@@ -237,13 +252,13 @@ class TestVerifyTheorem:
 def _reweighted_signals(monkeypatch, instance):
     """The y and y_dyn that verify_theorem transforms, in that order."""
     signals = []
-    real = verifier.high_band
+    real = consistency.high_band
 
     def recording(x, *args):
         signals.append(x)
         return real(x, *args)
 
-    monkeypatch.setattr(verifier, "high_band", recording)
+    monkeypatch.setattr(consistency, "high_band", recording)
     report = verify_theorem(instance)
     return report.alpha, signals
 
@@ -323,6 +338,41 @@ class TestLargeNMemory:
                                              ("softmax_rows", 1.1), ("verify_theorem", 2.5)])
     def test_traced_peak(self, inputs, name, bound):
         assert _traced_peak(*inputs[name]) <= bound * self.N * self.N * 8
+
+
+class TestTableMemory:
+    """Traced peaks of ``make_instance`` and ``verify_theorem`` at N = 1024,
+    above what existed before the call.  Each reads one signal pair through
+    ``consistency``'s reduction, which holds at once:
+
+    - two high-band tables, N x (N//2 - k_t + 1) floats each (|T(x)|, and
+      |T(x_dyn)| divided in place into the ratios);
+    - the mask of kept positions, one byte per table entry;
+    - the kernel's block temporaries: the (K, s) complex sums and one
+      product beside them, each within ``spectral._BLOCK_BYTES``, plus up
+      to four NumPy ufunc buffers of ``np.getbufsize()`` complex entries;
+    - O(N) vectors (x, x_dyn, y, y_dyn, the row sums, E, the ratios, index
+      arrays), allowed as 32 float vectors of length N.
+
+    That is about 11.2 MiB here; a third table would add 4.0 MiB."""
+
+    N = 1024
+    K_T = 5
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        attention = softmax_rows(gen_homogeneous_attention(self.N, 1.0))
+        values = gen_inconsistent_values(self.N, 1.0, 1e-12, 0)
+        args = (attention, values, make_window("blackman", 9), self.K_T, 0.9)
+        return {"make_instance": (make_instance, *args),
+                "verify_theorem": (verify_theorem, make_instance(*args))}
+
+    @pytest.mark.parametrize("name", ["make_instance", "verify_theorem"])
+    def test_two_tables_and_a_mask(self, inputs, name):
+        entries = self.N * (self.N // 2 - self.K_T + 1)
+        bound = (2 * 8 * entries + entries + 2 * spectral._BLOCK_BYTES
+                 + 4 * 16 * np.getbufsize() + 32 * 8 * self.N)
+        assert _traced_peak(*inputs[name]) <= bound
 
 
 def _rejection(function, *args):
