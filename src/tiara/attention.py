@@ -38,9 +38,9 @@ class ReweightMatrix:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Per-frame motion intensities (``motion_intensity``, which reads only
-    some bins), the band, and the one-sided spectra of the periodically
-    padded rows, shape rho.shape + (Npad//2 + 1,) (``row_spectrum``)."""
+    """Per-frame motion intensities (``motion_intensity``), the band, and the
+    one-sided spectra of the periodically padded rows, shape rho.shape +
+    (Npad//2 + 1,) (``row_spectrum``): each row is transformed once."""
 
     rho: np.ndarray
     phi1: int
@@ -145,14 +145,12 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     frequency indices 0 .. floor(Npad/2).  No padded row is built: the
     window there covers deviation samples i - L//2 .. i + L//2 taken
     N-periodically, which are the padded samples exactly, so the kernel
-    reads them from the (..., N) deviation with Npad as its period.  Rows
-    may be stacked as (..., N), with ``i`` broadcast against the leading
-    axes; ``i`` must have an integer dtype.
+    reads them from each row's deviation with Npad as its period.  Rows may
+    be stacked as (..., N), with ``i`` broadcast against the leading axes
+    (one row read at many frames is gathered a block of frames at a time,
+    never as one copy per frame); ``i`` must have an integer dtype.
     """
-    row, i = _rows_at(row, i)
-    npad = row.shape[-1] + 2 * window.half
-    deviation = row - row.mean(axis=-1, keepdims=True)
-    return _windowed_sums(deviation, window, i, np.arange(npad // 2 + 1), phased=False, period=npad)
+    return _motion(*_rows_at(row, i), window, None, None, spectra=True)[1]
 
 
 def _strength_violation(value, name: str) -> str | None:
@@ -179,47 +177,54 @@ def _band_violation(phi1, phi2, npad: int | None = None) -> str | None:
     return None
 
 
-def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int]:
-    """Resolve the default band thresholds of an N-frame row and check them."""
+def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int, int]:
+    """The checked band thresholds of an N-frame row, and Npad = N + 2*(L//2)."""
     npad = n + 2 * window.half
     phi1 = min(ceil(npad / 8), npad // 2) if phi1 is None else phi1
     phi2 = npad // 2 + 1 if phi2 is None else phi2
     if violation := _band_violation(phi1, phi2, npad):
         raise ValidationError(violation)
-    return int(phi1), int(phi2)
+    return int(phi1), int(phi2), npad
 
 
-def _rho(rows: np.ndarray, window: Window, i, phi1, phi2) -> np.ndarray:
+def _motion(rows: np.ndarray, i, window: Window, phi1, phi2, spectra: bool = False):
     """``motion_intensity`` of finite rows (..., N) at valid frames ``i``
-    (broadcast to the leading axes), a block of rows at a time.  Only the
-    bins below phi1 and those of the total are transformed: with the default
-    phi2, k = 0 and the Nyquist bin; with a custom phi2, all below it."""
+    (broadcast against the leading axes), a block of rows at a time, as
+    (rho, None), or with ``spectra`` as (rho, ``row_spectrum``).  Without
+    spectra only rho's bins are transformed: those below phi1 and those of
+    the total (default phi2: k = 0 and the Nyquist bin; else all below it)."""
     n = rows.shape[-1]
-    phi1, phi2 = _band(n, window, phi1, phi2)
-    npad = n + 2 * window.half
+    phi1, phi2, npad = _band(n, window, phi1, phi2)
     parseval = phi2 == npad // 2 + 1
-    ks = np.arange(max(phi1, 1) if parseval else phi2)
-    if parseval and npad % 2 == 0:
+    ks = np.arange(npad // 2 + 1 if spectra else max(phi1, 1) if parseval else phi2)
+    if parseval and npad % 2 == 0 and not spectra:
         ks = np.append(ks, npad // 2)  # the Nyquist bin, last
+    shape = np.broadcast_shapes(rows.shape[:-1], np.shape(i))
     signals = rows.reshape(-1, n)
-    frames = np.broadcast_to(i, rows.shape[:-1]).ravel()
+    frames = np.broadcast_to(i, shape).ravel()
+    picks = None if len(signals) == len(frames) else np.broadcast_to(  # the row of each frame
+        np.arange(len(signals)).reshape(rows.shape[:-1]), shape).ravel()
     tap_columns = (np.arange(n)[:, None] + np.arange(window.length) - window.half) % n  # per frame
     rho = np.zeros(len(frames))
+    out = np.empty((len(frames), len(ks))) if spectra else None
     # per row: its deviation, the taps with their indices here and in the kernel, and the bins
     for block in _blocks(len(frames), 8 * (n + 6 * window.length + 6 * len(ks))):
-        x = signals[block]
+        x = signals[block] if picks is None else signals[picks[block]]
         moving = (x != x[:, :1]).any(axis=-1)  # max != min
         x = x - x.mean(axis=-1, keepdims=True)
-        power = _windowed_sums(x, window, frames[block], ks, phased=False, period=npad) ** 2
+        magnitudes = _windowed_sums(x, window, frames[block], ks, phased=False, period=npad)
+        if spectra:
+            out[block] = magnitudes
+        power = magnitudes ** 2
         if parseval:
             taps = x[np.arange(len(x))[:, None], tap_columns[frames[block]]] * window.coefficients
             nyquist = 0.0 if npad % 2 else power[:, -1]
             total = (npad * (taps * taps).sum(axis=-1) + power[:, 0] + nyquist) / 2
         else:
-            total = power.sum(axis=-1)
+            total = power[:, :phi2].sum(axis=-1)
         high = np.maximum(total - power[:, :phi1].sum(axis=-1), 0.0)
         np.divide(high, total, out=rho[block], where=moving & (total != 0.0))
-    return rho.reshape(rows.shape[:-1])
+    return rho.reshape(shape), None if out is None else out.reshape(shape + (len(ks),))
 
 
 def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
@@ -245,8 +250,7 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
         raise ValidationError(f"attention row must have shape (N,), got shape {row.shape}")
     if violation := _integer_rule(i, "i"):  # one row, one frame: row_spectrum also takes arrays
         raise ValidationError(violation)
-    row, i = _rows_at(row, i)
-    return float(_rho(row, window, i, phi1, phi2))
+    return float(_motion(*_rows_at(row, i), window, phi1, phi2)[0])
 
 
 def motion_profile(attention_map, window: Window, phi1: int | None = None,
@@ -257,11 +261,9 @@ def motion_profile(attention_map, window: Window, phi1: int | None = None,
     Maps may be stacked as (..., N, N); rho then has shape (..., N).
     """
     a = as_square(attention_map, "attention map", stacked=True)
-    frames = np.arange(a.shape[-1])
-    phi1, phi2 = _band(a.shape[-1], window, phi1, phi2)
-    spectra = row_spectrum(a, window, frames)
-    return MotionProfile(rho=_rho(a, window, frames, phi1, phi2), phi1=phi1, phi2=phi2,
-                         window=window, spectra=spectra)
+    phi1, phi2, _ = _band(a.shape[-1], window, phi1, phi2)  # the band is named before the rows
+    rho, spectra = _motion(*_rows_at(a, np.arange(a.shape[-1])), window, phi1, phi2, spectra=True)
+    return MotionProfile(rho=rho, phi1=phi1, phi2=phi2, window=window, spectra=spectra)
 
 
 def _penalty(rho: np.ndarray, alpha, corner_size, corner_penalty):
@@ -330,7 +332,7 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
             f"values field shape {values_field.shape} does not match logits field {logits_field.shape}")
     attention = softmax_rows(logits_field)
     frames = np.arange(attention.shape[-1])
-    rho = _rho(attention, window, frames, phi1, phi2)
+    rho = _motion(attention, frames, window, phi1, phi2)[0]
     corner, _, beta, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
     if violation := _finite_array_rule(values_field, "values"):
         raise ValidationError(violation)

@@ -13,7 +13,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .attention import _rho, as_field, row_spectrum, softmax_rows, tiara
+from .attention import _motion, as_field, softmax_rows, tiara
 from .config import CONFIG_KEYS, Config, load_config, validate_config
 from .errors import ConfigError, TensorFileError, ValidationError, _finite_rule
 from .promptblend import (TokenTable, _layer_rule, align, conditioning, embed_aligned,
@@ -50,9 +50,9 @@ def cmd_analyze(args) -> int:
     config = _resolve_config(args)
     attention = softmax_rows(as_field(read_tensor(args.input)))
     window, frames = config.window(), np.arange(attention.shape[-1])
-    write_tensor(args.output, _rho(attention, window, frames, config.phi1, config.phi2))
+    rho, spectra = _motion(attention, frames, window, config.phi1, config.phi2, bool(args.spectrogram))
+    write_tensor(args.output, rho)
     if args.spectrogram:
-        spectra = row_spectrum(attention, window, frames)
         h, w, n, bins = spectra.shape
         row_keys = [f"{i},{k}," for i, k in itertools.product(range(n), range(bins))]
         with open(args.spectrogram, "w", encoding="utf-8") as handle:

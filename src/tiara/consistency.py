@@ -69,7 +69,8 @@ def estimate_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE) 
 
     The maximum runs over every shift tau in [0, N) and frequency
     k in [k_t, N//2]; positions where |T(x)| < tol (finite, >= 0) are
-    skipped, as the bound is vacuous there.  Returns 0 if all are skipped.
+    skipped, as the bound is vacuous there, and at tol = 0 those where
+    |T(x)| is 0, which have no ratio.  Returns 0 if all are skipped.
     """
     x = as_signal(x)
     x_dyn = as_signal(x_dyn)
@@ -84,7 +85,7 @@ def _error_and_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE
     mag_x = high_band(x, w, k_t)
     if violation := _finite_rule(tol, "tol", 0):
         raise ValidationError(violation)
-    keep = mag_x >= tol
+    keep = mag_x >= tol if tol else mag_x > 0  # a zero |T(x)| has no ratio
     ratio = high_band(x_dyn, w, k_t)
     np.divide(ratio, mag_x, out=ratio, where=keep)
     return mag_x.sum(axis=-1), float(ratio.max(where=keep, initial=0.0))

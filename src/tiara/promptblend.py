@@ -92,24 +92,16 @@ def parse_organized(text: str, token_table: TokenTable) -> OrganizedPrompt:
     Exactly four separators are required; whitespace around them is
     trimmed.  Empty components are allowed and tokenize to ().
     """
-    found = text.count(SEPARATOR)
-    if found != COMPONENT_COUNT - 1:
-        if found > COMPONENT_COUNT - 1:
-            position = _nth_index(text, SEPARATOR, COMPONENT_COUNT)
-            raise PromptParseError(
-                f"expected 4 '$' separators, found {found}; "
-                f"unexpected separator at position {position}")
+    pieces = text.split(SEPARATOR)
+    found = len(pieces) - 1
+    if found > COMPONENT_COUNT - 1:
+        position = len(SEPARATOR.join(pieces[:COMPONENT_COUNT]))  # the first unexpected one
+        raise PromptParseError(f"expected 4 '$' separators, found {found}; "
+                               f"unexpected separator at position {position}")
+    if found < COMPONENT_COUNT - 1:
         raise PromptParseError(f"expected 4 '$' separators, found {found} in {text!r}")
-    pieces = [piece.strip() for piece in text.split(SEPARATOR)]
-    return OrganizedPrompt(components=tuple(token_table.tokenize(p) for p in pieces),
+    return OrganizedPrompt(components=tuple(token_table.tokenize(p.strip()) for p in pieces),
                            raw_text=text)
-
-
-def _nth_index(text: str, needle: str, n: int) -> int:
-    idx = -1
-    for _ in range(n):
-        idx = text.index(needle, idx + 1)
-    return idx
 
 
 def align(prompts) -> AlignedPromptSet:

@@ -16,8 +16,8 @@ phase, ``dstft_magnitudes`` its modulus.  Neither the block nor the stack
 changes a signal's bits, as a BLAS product would (OpenBLAS gemm rounds a
 row differently in a 2-row and in a 4,096-row call).  The core's transform
 period may also exceed the signal length, with the taps still read
-N-periodically: ``attention.row_spectrum`` calls it that way to transform a
-row's periodic padding without building it.
+N-periodically: ``attention``'s one walk over attention rows calls it that
+way, once per block of rows, to transform their periodic padding unbuilt.
 """
 
 from dataclasses import dataclass

@@ -10,8 +10,11 @@ import pytest
 from tiara import (ValidationError, alpha_from_closed_form, build_reweight_matrix,
                    conditioning, gen_homogeneous_attention, gen_inconsistent_values,
                    make_instance, make_schedule, make_window, motion_intensity,
-                   motion_profile, reweighted_attention, softmax_rows, spectral, tiara)
+                   motion_profile, reweighted_attention, softmax_rows, spectral, tiara,
+                   write_tensor)
+from tiara import attention
 from tiara.attention import row_spectrum
+from tiara.cli import main
 
 from oracles import (algorithm_reference, closed_form_rows, naive_dstft, naive_softmax, pad_wrap,
                      rho_reference)
@@ -301,6 +304,81 @@ class TestMotionIntensity:
             tracemalloc.stop()
         assert spectra.shape == (16, 16, 16, bins)
         assert peak < 8 * count * (n + bins + 3) + 4 * spectral._BLOCK_BYTES + (16 << 10)
+
+    @pytest.mark.parametrize("call", ["row_spectrum", "motion_profile"])
+    def test_traced_peak_holds_no_deviation_of_the_field(self, monkeypatch, call):
+        """The field_reweight field as above: S = 4,096 rows, N = 16, K = 13
+        bins, blocks of 16 K 64 bytes.  The arrays that must exist at once
+        are the spectra (8 S K bytes), rho and the frame of each row (8 S
+        each), and the list of block slices (under 64 bytes per block of at
+        least 11 rows, so under 8 S).  One block of rows, with everything the
+        walker and the kernel form from it, fits in 4 budgets; 16 KiB more
+        covers the small tables.  A (..., N, N) deviation of the whole field
+        would add 8 S N = 512 KiB to that."""
+        w, n, bins = make_window("blackman", 9), 16, 13
+        rows = softmax_rows(np.random.default_rng(29).standard_normal((16, 16, n, n)))
+        count = rows.size // n
+        run = {"row_spectrum": lambda: row_spectrum(rows, w, np.arange(n)),
+               "motion_profile": lambda: motion_profile(rows, w).spectra}[call]
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * bins * 64)
+        tracemalloc.start()
+        try:
+            spectra = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectra.shape == (16, 16, 16, bins)
+        assert peak < 8 * count * (bins + 3) + 4 * spectral._BLOCK_BYTES + (16 << 10)
+
+    def test_one_row_at_every_frame_is_not_copied_per_frame(self):
+        """One row of N = 512 frames read at all N frames: the spectra are
+        8 N K bytes (K = 261 bins under a 9-tap window), and each block of
+        frames, with the row gathered once per frame in it, stays within 2
+        budgets; 16 KiB covers the small tables.  An (N, N) copy of the row
+        would add 8 N^2 = 2 MiB."""
+        n, w = 512, make_window("blackman", 9)
+        row = softmax_rows(np.random.default_rng(31).standard_normal(n))
+        tracemalloc.start()
+        try:
+            spectra = row_spectrum(row, w, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bins = (n + 8) // 2 + 1
+        assert spectra.shape == (n, bins)
+        assert np.array_equal(spectra, row_spectrum(np.broadcast_to(row, (n, n)), w, np.arange(n)))
+        assert peak < 8 * n * bins + 2 * spectral._BLOCK_BYTES + (16 << 10)
+
+    @pytest.mark.parametrize("call", ["motion_profile", "analyze"])
+    def test_each_row_is_transformed_once(self, monkeypatch, tmp_path, call):
+        # rho is read from the spectra's columns; its own bins (k = 0, the
+        # bins below phi1 and the Nyquist bin) were transformed a second time
+        counted = []
+        real = attention._windowed_sums
+
+        def counting(x, w, m, ks, **kwargs):
+            counted.append(len(ks) * np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(m))))
+            return real(x, w, m, ks, **kwargs)
+
+        monkeypatch.setattr(attention, "_windowed_sums", counting)
+        logits = np.random.default_rng(32).standard_normal((3, 4, 16, 16))
+        write_tensor(tmp_path / "l.tf", logits)
+        for phi1, phi2 in ((None, None), (2, 7)):
+            counted.clear()
+            if call == "motion_profile":
+                motion_profile(softmax_rows(logits), make_window("blackman", 9), phi1, phi2)
+            else:
+                band = [] if phi1 is None else ["--phi1", str(phi1), "--phi2", str(phi2)]
+                assert main(["analyze", "--input", str(tmp_path / "l.tf"), "--output", str(tmp_path / "rho.tf"),
+                             "--spectrogram", str(tmp_path / "spec.csv"), *band]) == 0
+            assert sum(counted) == 3 * 4 * 16 * (24 // 2 + 1)
+
+    def test_band_is_named_before_the_rows(self):
+        # a bad band on a map that is not finite names the band
+        with pytest.raises(ValidationError, match="^phi1 must be < phi2, got 3 >= 2$"):
+            motion_profile(np.full((4, 4), np.nan), make_window("hann", 5), 3, 2)
+        with pytest.raises(ValidationError, match=r"^phi2 must be <= Npad//2 \+ 1 = 5, got 9$"):
+            motion_profile(np.full((4, 4), np.inf), make_window("hann", 5), 1, 9)
 
     def test_profile_collects_rows(self):
         rng = np.random.default_rng(28)

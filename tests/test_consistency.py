@@ -214,6 +214,16 @@ class TestSeparation:
             assert kappa == _masked_copy_kappa(x, x_dyn, w, 2, 0.0) > 0.0
             assert _error_and_kappa(x, x_dyn, w, 2)[1] == 0.0
 
+    @pytest.mark.parametrize("x_dyn", [np.zeros(8), np.cos(np.pi * np.arange(8))],
+                             ids=["zero", "alternating"])
+    def test_zero_magnitudes_have_no_ratio(self, x_dyn):
+        # at tol = 0 a zero |T(x)| was kept: nan ("invalid value") against a
+        # zero |T(x_dyn)| and inf ("divide by zero") against the alternating one
+        w = make_window("hann", 5)
+        for tol in (0.0, KAPPA_TOLERANCE):
+            assert estimate_kappa(np.zeros(8), x_dyn, w, 2, tol) == 0.0
+            assert _error_and_kappa(np.zeros(8), x_dyn, w, 2, tol)[1] == 0.0
+
 
 class TestDynamicComponent:
     def test_identity_becomes_zero(self):

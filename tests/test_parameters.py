@@ -5,6 +5,7 @@ integer, or an integer-dtype array; a bool or a float is rejected by name
 and never truncated.  The rule lives in ``tiara.errors`` alone.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -154,3 +155,19 @@ def test_verifier_reads_high_bands_through_one_reduction():
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
              if pattern.search(line)]
     assert found == []
+
+
+def test_one_walk_transforms_attention_rows():
+    """tiara/attention.py hands rows to the kernel from one function, the
+    walker behind rho and the spectra, and derives the padded length Npad
+    = N + 2*(L//2) in one place, ``_band``."""
+    tree = ast.parse((Path(tiara.__file__).parent / "attention.py").read_text(encoding="utf-8"))
+    callers, padders = set(), set()
+    for function in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and node.id == "_windowed_sums":
+                callers.add(function.name)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and isinstance(node.right, ast.Attribute) and node.right.attr == "half"):
+                padders.add(function.name)
+    assert (callers, padders) == ({"_motion"}, {"_band"})

@@ -47,6 +47,10 @@ class TestParseOrganized:
     def test_too_many_separators_reports_position(self):
         with pytest.raises(PromptParseError, match="position 9"):
             parse_organized("a$b$c$d$e$f", TokenTable(ids={c: 0 for c in "abcdef"}))
+        # several extra separators: the fifth is the first unexpected one
+        message = "expected 4 '$' separators, found 7; unexpected separator at position 12"
+        with pytest.raises(PromptParseError, match=f"^{re.escape(message)}$"):
+            parse_organized("a $b$ c$d $e$$f$", TokenTable(ids={c: 0 for c in "abcdef"}))
 
     def test_whitespace_trimmed(self):
         table = table_for("a b c d e")
