@@ -70,7 +70,7 @@ def softmax_rows(logits) -> np.ndarray:
     whose max is not finite (NaN, +inf, or all masked) is rejected.  The
     result is built in one new array; the input is never written."""
     scores = np.asarray(logits, dtype=float)
-    if scores.shape[-1:] == (0,):
+    if scores.ndim == 0 or scores.shape[-1] == 0:
         raise ValidationError(f"softmax rows must have at least one frame, got shape {scores.shape}")
     peak = scores.max(axis=-1, keepdims=True)
     if not np.isfinite(peak).all():
@@ -108,8 +108,7 @@ def reweighted_attention(logits, penalty, values):
     if frames != logits.shape[:-1]:
         raise ValidationError(
             f"values shape {values.shape} does not match logits shape {logits.shape}")
-    if violation := _finite_array_rule(values, "values"):
-        raise ValidationError(violation)
+    _finite_array_rule(values, "values")
     attention = softmax_rows(logits + lam)
     return attention, attention @ values
 
@@ -121,8 +120,8 @@ def _rows_at(row, i) -> tuple[np.ndarray, np.ndarray]:
     if row.ndim == 0 or row.shape[-1] == 0:
         raise ValidationError(f"attention rows must have shape (..., N) with N >= 1, got shape {row.shape}")
     n = row.shape[-1]
-    if violation := _integer_rule(i, "i", arrays=True) or _finite_array_rule(row, "attention rows"):
-        raise ValidationError(violation)
+    _integer_rule(i, "i", arrays=True)
+    _finite_array_rule(row, "attention rows")
     i = np.asarray(i)
     bad = i[(i < 0) | (i >= n)]
     if bad.size:
@@ -153,28 +152,27 @@ def row_spectrum(row, window: Window, i) -> np.ndarray:
     return _motion(*_rows_at(row, i), window, None, None, spectra=True)[1]
 
 
-def _strength_violation(value, name: str) -> str | None:
-    return None if value is None else _finite_rule(value, name, 0)  # None is unset
+def _strength_rule(value, name: str) -> None:
+    if value is not None:  # None is unset
+        _finite_rule(value, name, 0)
 
 
-def _corner_size_violation(size, name: str, n: int | None = None) -> str | None:
-    if size is not None and (violation := _integer_rule(size, name, 0)):
-        return violation
-    if size is not None and n is not None and not size <= n // 2:
-        return f"{name} must be <= N//2 = {n // 2}, got {size}"
-    return None
+def _corner_size_rule(size, name: str, n: int | None = None) -> None:
+    if size is not None:
+        _integer_rule(size, name, 0)
+        if n is not None and not size <= n // 2:
+            raise ValidationError(f"{name} must be <= N//2 = {n // 2}, got {size}")
 
 
-def _band_violation(phi1, phi2, npad: int | None = None) -> str | None:
+def _band_rule(phi1, phi2, npad: int | None = None) -> None:
     """Each None (unset) or an integer; with Npad known, phi2 <= Npad//2 + 1."""
     for phi, name, low in ((phi1, "phi1", 0), (phi2, "phi2", 1)):
-        if phi is not None and (violation := _integer_rule(phi, name, low)):
-            return violation
+        if phi is not None:
+            _integer_rule(phi, name, low)
     if phi1 is not None and phi2 is not None and not phi1 < phi2:
-        return f"phi1 must be < phi2, got {phi1} >= {phi2}"
+        raise ValidationError(f"phi1 must be < phi2, got {phi1} >= {phi2}")
     if phi2 is not None and npad is not None and not phi2 <= npad // 2 + 1:
-        return f"phi2 must be <= Npad//2 + 1 = {npad // 2 + 1}, got {phi2}"
-    return None
+        raise ValidationError(f"phi2 must be <= Npad//2 + 1 = {npad // 2 + 1}, got {phi2}")
 
 
 def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int, int]:
@@ -182,8 +180,7 @@ def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int, int]:
     npad = n + 2 * window.half
     phi1 = min(ceil(npad / 8), npad // 2) if phi1 is None else phi1
     phi2 = npad // 2 + 1 if phi2 is None else phi2
-    if violation := _band_violation(phi1, phi2, npad):
-        raise ValidationError(violation)
+    _band_rule(phi1, phi2, npad)
     return int(phi1), int(phi2), npad
 
 
@@ -248,8 +245,7 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
     row = np.asarray(row, dtype=float)
     if row.ndim != 1:
         raise ValidationError(f"attention row must have shape (N,), got shape {row.shape}")
-    if violation := _integer_rule(i, "i"):  # one row, one frame: row_spectrum also takes arrays
-        raise ValidationError(violation)
+    _integer_rule(i, "i")  # one row, one frame: row_spectrum also takes arrays
     return float(_motion(*_rows_at(row, i), window, phi1, phi2)[0])
 
 
@@ -272,10 +268,9 @@ def _penalty(rho: np.ndarray, alpha, corner_size, corner_penalty):
     if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN fails both comparisons
         raise ValidationError("rho (motion intensities) must lie in [0, 1]")
     n = rho.shape[-1]
-    if violation := (_strength_violation(alpha, "alpha")
-                     or _strength_violation(corner_penalty, "corner_penalty")
-                     or _corner_size_violation(corner_size, "corner_size", n)):
-        raise ValidationError(violation)
+    _finite_rule(alpha, "alpha", 0)
+    _strength_rule(corner_penalty, "corner_penalty")
+    _corner_size_rule(corner_size, "corner_size", n)
     corner_size = n // 4 if corner_size is None else corner_size
     corner_penalty = alpha / 2.0 if corner_penalty is None else corner_penalty
     i, j = np.indices((n, n))
@@ -291,7 +286,10 @@ def build_reweight_matrix(rho, alpha: float, corner_size: int | None = None,
 
     A stack of rho vectors (..., N) gives a stack of matrices (..., N, N).
     """
-    rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
+    try:
+        rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no float
+        raise ValidationError("rho must be a regular array of numbers") from None
     if rho.ndim < 1:
         raise ValidationError("rho must be a sequence (or a stack of them)")
     corner, corner_size, corner_penalty, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
@@ -334,8 +332,7 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     frames = np.arange(attention.shape[-1])
     rho = _motion(attention, frames, window, phi1, phi2)[0]
     corner, _, beta, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
-    if violation := _finite_array_rule(values_field, "values"):
-        raise ValidationError(violation)
+    _finite_array_rule(values_field, "values")
     attention *= np.where(corner, np.exp(-beta), 1.0)
     attention[..., frames, frames] *= np.exp(diagonal)
     total = attention.sum(axis=-1, keepdims=True)

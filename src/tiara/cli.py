@@ -14,8 +14,8 @@ from functools import cache, partial
 import numpy as np
 
 from .attention import _motion, as_field, softmax_rows, tiara
-from .config import CONFIG_KEYS, Config, load_config, validate_config
-from .errors import ConfigError, TensorFileError, ValidationError, _finite_rule
+from .config import CONFIG_KEYS, Config, load_config
+from .errors import TensorFileError, ValidationError, _finite_rule
 from .promptblend import (TokenTable, _layer_rule, align, conditioning, embed_aligned,
                           make_schedule, parse_organized)
 from .spectral import _blocks
@@ -41,9 +41,7 @@ def _resolve_config(args) -> Config:
     config = load_config(args.config) if args.config else Config()
     updates = {name: getattr(args, name) for name, _ in CONFIG_KEYS.values()
                if getattr(args, name) is not None}
-    if updates:
-        config = validate_config(replace(config, **updates))
-    return config
+    return replace(config, **updates) if updates else config
 
 
 def cmd_analyze(args) -> int:
@@ -139,9 +137,8 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_blend(args) -> int:
     config = _resolve_config(args)
-    if violation := (_finite_rule(args.timestep, "timestep")
-                     or _layer_rule(args.layer, "layer")):
-        raise ConfigError(violation)
+    _finite_rule(args.timestep, "timestep")
+    _layer_rule(args.layer, "layer")
     with open(args.tokens, "r", encoding="utf-8") as handle:
         try:
             table = TokenTable.from_lines(handle)
@@ -203,8 +200,8 @@ def _all_frames(schedule, embedded, t: float, d: int) -> Blocks:
 
 def cmd_synth(args) -> int:
     config = _resolve_config(args)
-    logits = gen_homogeneous_attention(args.n, args.decay)
     values = gen_inconsistent_values(args.n, args.b_v, args.hf_amplitude, config.seed)
+    logits = gen_homogeneous_attention(args.n, args.decay)  # values first, as in verify-theorem
     write_tensor(args.out_logits, logits[None, None])
     write_tensor(args.out_values, values[None, None, :, None])
     return EXIT_OK

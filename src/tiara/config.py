@@ -1,18 +1,19 @@
 """Plain-text key=value configuration shared by all CLI commands.
 
-Unknown keys are rejected; on load, before any file is read, each key is
-checked under its own name by the predicate of the module that consumes
-it.  Keys left unset fall back to defaults; corner_size, corner_penalty,
-phi1 and phi2 stay unset until the frame count N is known (corner_size
--> N//4, corner_penalty -> alpha/2, the band thresholds -> the
-padded-length defaults), as do the bounds that depend on N.
+Unknown keys are rejected.  A ``Config`` checks itself when it is built:
+each key under its own name, by the rule of the module that consumes it,
+whose failure is raised as ``ConfigError``.  Keys left unset fall back to
+defaults; corner_size, corner_penalty, phi1 and phi2 stay unset until the
+frame count N is known (corner_size -> N//4, corner_penalty -> alpha/2,
+the band thresholds -> the padded-length defaults), as do the bounds that
+depend on N.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import get_args
 
 from . import attention, consistency, promptblend, spectral, verifier
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError, _finite_rule
 from .spectral import Window, make_window
 
 
@@ -32,6 +33,22 @@ class Config:
     layer_threshold: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        try:
+            _finite_rule(self.alpha, "alpha", 0)
+            attention._corner_size_rule(self.corner_size, "corner_size")
+            attention._strength_rule(self.corner_penalty, "corner_penalty")
+            spectral._kind_rule(self.window_kind, "window.kind")
+            spectral._window_length_rule(self.window_length, "window.length")
+            attention._band_rule(self.phi1, self.phi2)
+            consistency._k_threshold_rule(self.k_threshold, "k_threshold")
+            verifier._eta_rule(self.eta, "eta")
+            promptblend._t_window_rule(self.t1, self.t2)
+            promptblend._layer_rule(self.layer_threshold, "layer_threshold")
+            verifier._seed_rule(self.seed, "seed")
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def window(self) -> Window:
         return make_window(self.window_kind, self.window_length)
 
@@ -41,23 +58,6 @@ class Config:
 _FILE_ALIASES = {"window_kind": "window.kind", "window_length": "window.length"}
 CONFIG_KEYS = {_FILE_ALIASES.get(f.name, f.name): (f.name, (get_args(f.type) or (f.type,))[0])
                for f in fields(Config)}
-
-
-def validate_config(config: Config) -> Config:
-    for violation in (attention._strength_violation(config.alpha, "alpha"),
-                      attention._corner_size_violation(config.corner_size, "corner_size"),
-                      attention._strength_violation(config.corner_penalty, "corner_penalty"),
-                      spectral._kind_violation(config.window_kind, "window.kind"),
-                      spectral._window_length_rule(config.window_length, "window.length"),
-                      attention._band_violation(config.phi1, config.phi2),
-                      consistency._k_threshold_violation(config.k_threshold, "k_threshold"),
-                      verifier._eta_violation(config.eta, "eta"),
-                      promptblend._t_window_violation(config.t1, config.t2),
-                      promptblend._layer_rule(config.layer_threshold, "layer_threshold"),
-                      verifier._seed_rule(config.seed, "seed")):
-        if violation:
-            raise ConfigError(violation)
-    return config
 
 
 def load_config(path) -> Config:
@@ -79,4 +79,4 @@ def load_config(path) -> Config:
                 updates[field] = cast(raw)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: cannot parse {raw!r} as {cast.__name__}")
-    return validate_config(replace(Config(), **updates))
+    return Config(**updates)

@@ -20,12 +20,10 @@ class InconsistencyReport:
     window: Window
 
 
-def _k_threshold_violation(k_t, name: str, n: int | None = None) -> str | None:
-    if violation := _integer_rule(k_t, name, 1):
-        return violation
+def _k_threshold_rule(k_t, name: str, n: int | None = None) -> None:
+    _integer_rule(k_t, name, 1)
     if n is not None and not k_t <= n // 2:
-        return f"{name} must be <= N//2 = {n // 2}, got {k_t}"
-    return None
+        raise ValidationError(f"{name} must be <= N//2 = {n // 2}, got {k_t}")
 
 
 def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
@@ -35,9 +33,9 @@ def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:
     own temporaries at any N."""
     x = as_signal(x)
     n = len(x)
-    if violation := (_k_threshold_violation(k_t, "k_threshold", n)
-                     or (tau is not None and _integer_rule(tau, "tau"))):
-        raise ValidationError(violation)
+    _k_threshold_rule(k_t, "k_threshold", n)
+    if tau is not None:
+        _integer_rule(tau, "tau")
     taus = np.arange(n) if tau is None else int(tau) % n
     return dstft_magnitudes(x, w, taus, np.arange(k_t, n // 2 + 1))
 
@@ -83,8 +81,7 @@ def _error_and_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE
     """E(x, tau) per shift and ``estimate_kappa``'s kappa of one signal pair,
     from two tables: x_dyn's is this call's own, so it is divided in place."""
     mag_x = high_band(x, w, k_t)
-    if violation := _finite_rule(tol, "tol", 0):
-        raise ValidationError(violation)
+    _finite_rule(tol, "tol", 0)
     keep = mag_x >= tol if tol else mag_x > 0  # a zero |T(x)| has no ratio
     ratio = high_band(x_dyn, w, k_t)
     np.divide(ratio, mag_x, out=ratio, where=keep)

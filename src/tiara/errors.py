@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, and the one integer rule and
 two finiteness rules that every module applies to its parameters; a rule
-returns None for a valid value, otherwise the message that names it.
+raises ``ValidationError`` with the message that names a bad value.
 
 The CLI maps these onto exit codes: validation problems exit with 2,
 tensor-file problems with 4.  A failed theorem verification is not an
@@ -36,7 +36,7 @@ class TensorFileError(OSError):
         self.offset = offset
 
 
-def _integer_rule(value, name: str, low=None, arrays: bool = False) -> str | None:
+def _integer_rule(value, name: str, low=None, arrays: bool = False) -> None:
     """An integer that is >= ``low`` when it is given.  An integer is a
     Python int that is not a bool, a NumPy integer, or, with ``arrays`` (and
     then no bound), an integer-dtype array; a float is never truncated, and
@@ -46,26 +46,29 @@ def _integer_rule(value, name: str, low=None, arrays: bool = False) -> str | Non
         array = np.asarray(value)
         if array.dtype.kind not in "iu":
             got = repr(array.flat[:1].tolist()[0]) if array.size else "an empty array"
-            return f"{name} must be an integer{bound}, got {got} (dtype {array.dtype})"
+            raise ValidationError(f"{name} must be an integer{bound}, got {got} (dtype {array.dtype})")
         if array.ndim and not arrays:
-            return f"{name} must be an integer{bound}, got an array of shape {array.shape}"
+            raise ValidationError(f"{name} must be an integer{bound}, got an array of shape {array.shape}")
     if low is not None and value < low:
-        return f"{name} must be an integer{bound}, got {value}"
-    return None
+        raise ValidationError(f"{name} must be an integer{bound}, got {value}")
 
 
-def _finite_rule(value, name: str, low=None) -> str | None:
-    """A finite number, >= ``low`` when it is given; NaN fails."""
+def _finite_rule(value, name: str, low=None) -> None:
+    """A finite number, >= ``low`` when it is given; NaN fails, and so does
+    what is not a real number (None, a string, an array), named with its type."""
     try:
         if isfinite(value) and (low is None or value >= low):
-            return None
+            return
     except OverflowError:  # a Python int too large for a float
         value = "an integer too large for a float"
-    return f"{name} must be finite{'' if low is None else f' and >= {low}'}, got {value}"
+    except TypeError:
+        value = f"{value!r} (type {type(value).__name__})"
+    raise ValidationError(f"{name} must be finite{'' if low is None else f' and >= {low}'}, got {value}")
 
 
-def _finite_array_rule(array, name: str) -> str | None:
+def _finite_array_rule(array, name: str) -> None:
     """Every entry finite; otherwise the index of the first that is not."""
     finite = np.isfinite(array)
-    return None if finite.all() else (f"{name} must be finite; first non-finite entry at "
-                                      f"index {tuple(np.argwhere(~finite)[0].tolist())}")
+    if not finite.all():
+        raise ValidationError(f"{name} must be finite; first non-finite entry at "
+                              f"index {tuple(np.argwhere(~finite)[0].tolist())}")

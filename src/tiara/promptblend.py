@@ -147,15 +147,18 @@ def embed_aligned(aligned: AlignedPromptSet, embedding_table) -> np.ndarray:
     if table.ndim != 2:
         raise ValidationError(f"embedding table must be rank 2 (vocab x d), got shape {table.shape}")
     tokens = aligned.prompts
-    if tokens.size and tokens.max() >= table.shape[0]:
-        raise ValidationError(
-            f"token id {tokens.max()} out of range for vocabulary of {table.shape[0]}")
+    if tokens.size:
+        for token in (tokens.max(), tokens.min()):  # a negative id would index from the end
+            if not 0 <= token < table.shape[0]:
+                raise ValidationError(f"token id {token} out of range for vocabulary of {table.shape[0]}")
     return table[tokens]
 
 
-def _t_window_violation(t1, t2) -> str | None:
-    return (_finite_rule(t1, "t1") or _finite_rule(t2, "t2")
-            or (None if t1 <= t2 else f"t1 must be <= t2, got {t1} > {t2}"))
+def _t_window_rule(t1, t2) -> None:
+    _finite_rule(t1, "t1")
+    _finite_rule(t2, "t2")
+    if not t1 <= t2:
+        raise ValidationError(f"t1 must be <= t2, got {t1} > {t2}")
 
 
 _layer_rule = partial(_integer_rule, low=0)
@@ -164,19 +167,22 @@ _layer_rule = partial(_integer_rule, low=0)
 def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
     segments = tuple(segments)
     for s, e in segments:
-        if violation := (_integer_rule(s, "span start") or _integer_rule(e, "span end")
-                         or (None if s <= e else f"span start {s} exceeds span end {e}")):
-            raise ValidationError(violation)
+        _integer_rule(s, "span start")
+        _integer_rule(e, "span end")
+        if not s <= e:
+            raise ValidationError(f"span start {s} exceeds span end {e}")
     segments = tuple((int(s), int(e)) for s, e in segments)
     if not segments:
         raise ValidationError("at least one frame span is required")
     for (s0, e0), (s1, e1) in zip(segments, segments[1:]):
         if not e0 < s1:
             raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
-    t1, t2 = float(t_window[0]), float(t_window[1])
-    if violation := (_t_window_violation(t1, t2)
-                     or _layer_rule(layer_threshold, "layer_threshold")):
-        raise ValidationError(violation)
+    t1, t2 = t_window[0], t_window[1]
+    _finite_rule(t1, "t1")  # before float(), which cannot name None or 10**400
+    _finite_rule(t2, "t2")
+    t1, t2 = float(t1), float(t2)
+    _t_window_rule(t1, t2)
+    _layer_rule(layer_threshold, "layer_threshold")
     return BlendSchedule(segments=segments, t_window=(t1, t2),
                          layer_threshold=int(layer_threshold),
                          total_frames=segments[-1][1])
@@ -185,9 +191,9 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
 def interpolation_weight(n, n_end: int, next_start: int):
     """Linear position of frame n, or of each frame in an integer array n,
     inside the transition (n_end, next_start)."""
-    if violation := (_integer_rule(n_end, "n_end") or _integer_rule(next_start, "next_start")
-                     or _integer_rule(n, "frame", arrays=True)):
-        raise ValidationError(violation)
+    _integer_rule(n_end, "n_end")
+    _integer_rule(next_start, "next_start")
+    _integer_rule(n, "frame", arrays=True)
     if next_start <= n_end:
         raise ValidationError(f"next span start {next_start} must exceed span end {n_end}")
     frames = np.asarray(n)
@@ -221,14 +227,13 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     if embedded.shape[0] != len(schedule.segments):
         raise ValidationError(
             f"{embedded.shape[0]} embedded prompts but {len(schedule.segments)} spans")
-    if violation := _integer_rule(n, "frame", arrays=True):
-        raise ValidationError(violation)
+    _integer_rule(n, "frame", arrays=True)
     frames = np.asarray(n)
     bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
-    if violation := _finite_rule(t, "t") or _layer_rule(d, "d"):
-        raise ValidationError(violation)
+    _finite_rule(t, "t")
+    _layer_rule(d, "d")
     if out is not None:
         shape = frames.shape + embedded.shape[1:]
         if out.shape != shape or out.dtype != np.float64:

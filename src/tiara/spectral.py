@@ -75,8 +75,7 @@ def as_signal(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValidationError(f"signal must be a 1-D sequence of length >= 1, got shape {x.shape}")
-    if violation := _finite_array_rule(x, "signal"):
-        raise ValidationError(violation)
+    _finite_array_rule(x, "signal")
     return x
 
 
@@ -90,8 +89,9 @@ def as_square(a, name: str, stacked: bool = False) -> np.ndarray:
     return a
 
 
-def _kind_violation(kind, name: str) -> str | None:
-    return None if kind in WINDOW_KINDS else f"unknown {name} {kind!r}; expected one of {WINDOW_KINDS}"
+def _kind_rule(kind, name: str) -> None:
+    if not (isinstance(kind, str) and kind in WINDOW_KINDS):  # an array would compare entrywise
+        raise ValidationError(f"unknown {name} {kind!r}; expected one of {WINDOW_KINDS}")
 
 
 _window_length_rule = partial(_integer_rule, low=1)
@@ -107,8 +107,8 @@ def make_window(kind: str, length: int) -> Window:
     symmetrised exactly (coeff[j] == coeff[L-1-j] bit-for-bit) and clipped
     to [0, 1] to absorb sign noise at endpoints that are zero analytically.
     """
-    if violation := _kind_violation(kind, "window kind") or _window_length_rule(length, "window length"):
-        raise ValidationError(violation)
+    _kind_rule(kind, "window kind")
+    _window_length_rule(length, "window length")
     length = int(length)
     if length == 1 or kind == "rectangular":
         coeffs = np.ones(length)
@@ -129,8 +129,7 @@ def make_window(kind: str, length: int) -> Window:
 
 
 def _check_frequency(k, n: int) -> int:
-    if violation := _integer_rule(k, "frequency index"):
-        raise ValidationError(violation)
+    _integer_rule(k, "frequency index")
     if not 0 <= k < n:
         raise ValidationError(f"frequency index {k} out of range [0, {n})")
     return int(k)
@@ -141,7 +140,9 @@ def dft(x, k: int) -> complex:
     x = as_signal(x)
     n = len(x)
     k = _check_frequency(k, n)
-    return complex(np.sum(x * np.exp(-2j * np.pi * k * np.arange(n) / n)))
+    # k*t reduced mod N first, as in the kernel's roots table: unreduced, it reaches ~N^2
+    # and the angle's rounding error grows with it
+    return complex(np.sum(x * np.exp(-2j * np.pi * (k * np.arange(n) % n) / n)))
 
 
 def _windowed_sums(x, w: Window, m, ks, phased: bool, period: int | None = None) -> np.ndarray:
@@ -220,8 +221,7 @@ def dstft(x, w: Window, m: int, k: int) -> complex:
     """
     x = as_signal(x)
     k = _check_frequency(k, len(x))
-    if violation := _integer_rule(m, "m"):
-        raise ValidationError(violation)
+    _integer_rule(m, "m")
     return complex(dstft_bins(x, w, int(m) % len(x), np.array([k]))[0])
 
 
@@ -229,8 +229,8 @@ def pad_periodic(x, left: int, right: int) -> np.ndarray:
     """Extend a signal by wrapping: prepend the last ``left`` samples and
     append the first ``right`` (repeating whole periods as needed)."""
     x = as_signal(x)
-    if violation := _integer_rule(left, "left", 0) or _integer_rule(right, "right", 0):
-        raise ValidationError(violation)
+    _integer_rule(left, "left", 0)
+    _integer_rule(right, "right", 0)
     idx = np.arange(-int(left), len(x) + int(right)) % len(x)
     return x[idx]
 

@@ -44,9 +44,9 @@ def write_tensor(path, array) -> None:
     if not 1 <= len(array.shape) <= MAX_RANK:
         raise ValidationError(f"tensor rank must be in [1, {MAX_RANK}], got {len(array.shape)}")
     for n in array.shape:
-        if violation := (_integer_rule(n, "tensor dimension", 0)
-                         or (n >= 1 << 64 and f"tensor dimension must be < 2**64 (u64), got {n}")):
-            raise ValidationError(violation)
+        _integer_rule(n, "tensor dimension", 0)
+        if n >= 1 << 64:
+            raise ValidationError(f"tensor dimension must be < 2**64 (u64), got {n}")
     shape = tuple(int(n) for n in array.shape)
     expected, written = 8 * prod(shape), 0
     directory = os.path.dirname(os.path.abspath(path))

@@ -63,9 +63,12 @@ def _violation(kappa: float, eta: float, a_min: float, name: str) -> str | None:
     worded with ``name`` for kappa, or None.  Given the last two checks,
     1 - kappa - a_min * eta > 1 - eta > 0: the closed form's numerator is
     positive whenever its denominator is."""
-    if violation := (_finite_rule(kappa, name, 0) or _finite_rule(eta, "eta")
-                     or _finite_rule(a_min, "a_min")):
-        return violation
+    try:
+        _finite_rule(kappa, name, 0)
+        _finite_rule(eta, "eta")
+        _finite_rule(a_min, "a_min")
+    except ValidationError as exc:
+        return str(exc)
     if not kappa < 1.0 - a_min:
         return f"infeasible: {name} < 1 - a_min violated ({kappa} >= {1.0 - a_min})"
     if not 0.0 <= a_min < 1.0:
@@ -79,8 +82,13 @@ def _violation(kappa: float, eta: float, a_min: float, name: str) -> str | None:
     return None
 
 
-def _eta_violation(eta, name: str) -> str | None:
-    return None if 0.0 < eta < 1.0 else f"{name} must lie in (0, 1), got {eta}"
+def _eta_rule(eta, name: str) -> None:
+    try:
+        inside = 0.0 < eta < 1.0
+    except (TypeError, ValueError):  # None, a string, an array
+        inside, eta = False, repr(eta)
+    if not inside:
+        raise ValidationError(f"{name} must lie in (0, 1), got {eta}")
 
 
 _seed_rule = partial(_integer_rule, low=0)
@@ -105,8 +113,8 @@ def gen_homogeneous_attention(n: int, decay: float) -> np.ndarray:
     attention weight decays as exp(-decay * d) with the frame separation.
     decay = 0 gives uniform attention; large decay approaches the identity.
     """
-    if violation := _integer_rule(n, "n", 2) or _finite_rule(decay, "decay", 0):
-        raise ValidationError(violation)
+    _integer_rule(n, "n", 2)
+    _finite_rule(decay, "decay", 0)
     n = int(n)
     k = np.arange(n, dtype=float)
     first = -float(decay) * np.minimum(k, n - k)  # row 0: circular distance to frame 0
@@ -124,10 +132,14 @@ def gen_inconsistent_values(n: int, b_v: float, hf_amplitude: float, seed: int) 
     a seed-derived phase; with hf_amplitude = b_v it vanishes and the result
     is a pure Nyquist tone scaled to b_v.
     """
-    if violation := (_integer_rule(n, "n", 2) or _seed_rule(seed, "seed")
-                     or _finite_rule(b_v, "b_v")):
-        raise ValidationError(violation)
-    if not 0.0 < hf_amplitude <= b_v:
+    _integer_rule(n, "n", 2)
+    _seed_rule(seed, "seed")
+    _finite_rule(b_v, "b_v")
+    try:
+        inside = 0.0 < hf_amplitude <= b_v
+    except (TypeError, ValueError):  # None, a string, an array
+        inside, hf_amplitude = False, repr(hf_amplitude)
+    if not inside:
         raise ValidationError(
             f"hf_amplitude must satisfy 0 < hf_amplitude <= b_v, got {hf_amplitude} vs {b_v}")
     rng = np.random.default_rng(seed)
@@ -187,8 +199,8 @@ def make_instance(attention, values, window: Window, k_t: int, eta: float) -> Th
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
         raise ValidationError(
             f"values must be a vector of length {a.shape[0]}, got shape {v.shape}")
-    if violation := _finite_array_rule(v, "values") or _eta_violation(eta, "eta"):
-        raise ValidationError(violation)
+    _finite_array_rule(v, "values")
+    _eta_rule(eta, "eta")
     x = a @ v
     d = np.diag(a)
     e_x, kappa_hat = _error_and_kappa(x, x - d * v, window, k_t)

@@ -42,6 +42,12 @@ class TestSoftmaxRows:
         # an empty stack of non-empty rows is fine
         assert softmax_rows(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
+    def test_scalar_rejected_by_shape(self):
+        # a 0-d input escaped as "TypeError: return arrays must be of ArrayType"
+        message = "softmax rows must have at least one frame, got shape ()"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            softmax_rows(3.0)
+
     def test_masked_entries_get_zero_weight(self):
         logits = np.array([[0.0, -np.inf, log(2.0)], [-np.inf, 1.0, -np.inf]])
         got = softmax_rows(logits)
@@ -476,12 +482,23 @@ FLOAT_PARAMETERS = [
 ]
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "posinf", "neginf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None, "6", np.array([1.0, 2.0])],
+                         ids=["nan", "posinf", "neginf", "None", "str", "array"])
 @pytest.mark.parametrize("function, name, call", FLOAT_PARAMETERS,
                          ids=[f"{function}-{name}" for function, name, _ in FLOAT_PARAMETERS])
 def test_non_finite_float_parameter_named(function, name, call, value):
+    # None, a string or an array escaped as a raw TypeError or ValueError
+    if value is None and name == "corner_penalty":
+        call(value)  # None is the default, alpha/2
+        return
     with pytest.raises(ValidationError, match=f"^{name} "):
         call(value)
+
+
+def test_window_kind_array_named():
+    # `kind in WINDOW_KINDS` compared the array entrywise and raised a raw ValueError
+    with pytest.raises(ValidationError, match=r"^unknown window kind array\(\[1\., 2\.\]\); expected one of"):
+        make_window(np.array([1.0, 2.0]), 3)
 
 
 class TestTiaraPipeline:

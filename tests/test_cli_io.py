@@ -358,16 +358,18 @@ class TestSynthCommand:
         assert logits.shape == (1, 1, 8, 8)
         assert np.array_equal(logits, np.zeros((1, 1, 8, 8)))
 
-    @pytest.mark.parametrize("flag, value, name", [
-        ("--decay", "nan", "decay"), ("--decay", "inf", "decay"), ("--b-v", "inf", "b_v"),
-        ("--b-v", "nan", "b_v")])
+    @pytest.mark.parametrize("flags, name", [
+        (["--decay=nan"], "decay"), (["--decay=inf"], "decay"), (["--b-v=inf"], "b_v"),
+        (["--b-v=nan"], "b_v"), (["--decay=-1", "--b-v=nan"], "b_v")],
+        ids=lambda v: "-".join(v).replace("=", "-") if isinstance(v, list) else None)
     @pytest.mark.parametrize("command", ["synth", "verify-theorem"])
-    def test_non_finite_generator_input_named(self, tmp_path, capsys, command, flag, value, name):
-        # synth used to exit 0 with NaN or inf tensors; verify-theorem blamed the logits or signal
+    def test_non_finite_generator_input_named(self, tmp_path, capsys, command, flags, name):
+        # synth used to exit 0 with NaN or inf tensors; verify-theorem blamed the logits or signal;
+        # with two bad flags synth named decay and verify-theorem, which builds the values first, b_v
         out = tmp_path / "out"
         args = (["--n", 8, "--out-logits", out, "--out-values", out] if command == "synth"
                 else ["--report", out])
-        assert run_cli(command, *args, f"{flag}={value}") == 2
+        assert run_cli(command, *args, *flags) == 2
         assert capsys.readouterr().err.startswith(f"tiara: {name} must be finite")
         assert not out.exists()
 

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import tiara
-from tiara import (ValidationError, build_reweight_matrix, conditioning, dft, dstft,
+from tiara import (ConfigError, ValidationError, build_reweight_matrix, conditioning, dft, dstft,
                    gen_homogeneous_attention, gen_inconsistent_values, inconsistency_error,
                    inconsistency_profile, interpolation_weight, make_schedule, make_window,
                    motion_intensity, pad_periodic, row_spectrum, write_tensor)
+from tiara.config import Config
 from tiara.tensorfile import Blocks
 
 _X = np.arange(8.0)
@@ -171,3 +172,53 @@ def test_one_walk_transforms_attention_rows():
                     and isinstance(node.right, ast.Attribute) and node.right.attr == "half"):
                 padders.add(function.name)
     assert (callers, padders) == ({"_motion"}, {"_band"})
+
+
+def test_parameter_rules_raise_for_themselves():
+    """Every parameter rule raises ``ValidationError`` itself, so no function
+    binds a message to raise (``violation := ...``) except the two callers of
+    the verifier's feasibility predicate, which returns its message."""
+    found = set()
+    for path in sorted(Path(tiara.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(function):
+                bound = isinstance(node, ast.NamedExpr) and node.target.id == "violation"
+                raised = (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                          and any(getattr(arg, "id", None) == "violation" for arg in node.exc.args))
+                if bound or raised:
+                    found.add((path.name, function.name))
+    assert found == {("verifier.py", "alpha_from_closed_form"), ("verifier.py", "require_feasible")}
+
+
+def test_config_error_raised_in_config_alone():
+    """Only tiara/config.py turns a failure into ``ConfigError`` (a bad file
+    line or a bad key); a rule, and a command flag, fail as ``ValidationError``."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(tiara.__file__).parent.glob("*.py")) if path.name != "config.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ConfigError"]
+    assert found == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", -1.0, "alpha must be finite and >= 0, got -1.0"),
+    ("corner_size", -1, "corner_size must be an integer >= 0, got -1"),
+    ("corner_penalty", float("nan"), "corner_penalty must be finite and >= 0, got nan"),
+    ("window_kind", "kaiser",
+     "unknown window.kind 'kaiser'; expected one of ('rectangular', 'hann', 'gaussian', 'blackman')"),
+    ("window_length", 0, "window.length must be an integer >= 1, got 0"),
+    ("phi1", 1.5, "phi1 must be an integer >= 0, got 1.5 (dtype float64)"),
+    ("phi2", 0, "phi2 must be an integer >= 1, got 0"),
+    ("k_threshold", 0, "k_threshold must be an integer >= 1, got 0"),
+    ("eta", 1.5, "eta must lie in (0, 1), got 1.5"),
+    ("t1", 2.0, "t1 must be <= t2, got 2.0 > 1.0"),
+    ("t2", float("inf"), "t2 must be finite, got inf"),
+    ("layer_threshold", True, "layer_threshold must be an integer >= 0, got True (dtype bool)"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+])
+def test_config_checks_itself(key, value, message):
+    # validate_config had to be called by hand: Config(alpha=-1) was accepted
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Config(**{key: value})

@@ -152,6 +152,13 @@ class TestEmbedAligned:
         with pytest.raises(ValidationError, match="out of range"):
             embed_aligned(aligned, np.zeros((4, 3)))
 
+    def test_negative_id_rejected(self):
+        # id -1 silently read the last row of the table
+        aligned = align([organized([2, -1], [0], [0], [0], [0])])
+        message = "token id -1 out of range for vocabulary of 4"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            embed_aligned(aligned, np.zeros((4, 3)))
+
 
 class TestInterpolationWeight:
     def test_endpoints(self):

@@ -1,5 +1,6 @@
 """Tests for tiara.spectral: transforms, windows, periodic padding."""
 
+import math
 import re
 
 import numpy as np
@@ -57,6 +58,19 @@ class TestDft:
         time_energy = float(np.sum(x ** 2))
         freq_energy = sum(abs(dft(x, k)) ** 2 for k in range(20)) / 20
         assert freq_energy == pytest.approx(time_energy, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_angle_reduced_mod_n_before_the_exponential(self, n):
+        # with the angle 2 pi k t / N taken unreduced (k t up to ~N^2), dft was 60 and 199
+        # eps * sum|x| off this reference at N = 1024 and 4096; reduced mod N, as in the
+        # kernel's roots table, it is 0.05 and 0.04
+        x = np.random.default_rng(n).standard_normal(n)
+        bound = 4 * np.finfo(float).eps * np.abs(x).sum()
+        for k in (1, n // 3, n - 1):
+            angles = [2 * math.pi * (k * t % n) / n for t in range(n)]
+            expected = complex(math.fsum(v * math.cos(a) for v, a in zip(x.tolist(), angles)),
+                               -math.fsum(v * math.sin(a) for v, a in zip(x.tolist(), angles)))
+            assert abs(dft(x, k) - expected) <= bound
 
 
 class TestDstft:
