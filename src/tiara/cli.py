@@ -30,13 +30,6 @@ EXIT_THEOREM = 3
 EXIT_IO = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key=value config file")
-    for name, cast in CONFIG_KEYS.values():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=cast, default=None, dest=name)
-
-
 def _resolve_config(args) -> Config:
     config = load_config(args.config) if args.config else Config()
     updates = {name: getattr(args, name) for name, _ in CONFIG_KEYS.values()
@@ -44,8 +37,7 @@ def _resolve_config(args) -> Config:
     return replace(config, **updates) if updates else config
 
 
-def cmd_analyze(args) -> int:
-    config = _resolve_config(args)
+def cmd_analyze(args, config: Config) -> int:
     attention = softmax_rows(as_field(read_tensor(args.input)))
     window, frames = config.window(), np.arange(attention.shape[-1])
     rho, spectra = _motion(attention, frames, window, config.phi1, config.phi2, bool(args.spectrogram))
@@ -64,8 +56,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_reweight(args) -> int:
-    config = _resolve_config(args)
+def cmd_reweight(args, config: Config) -> int:
     result = tiara(read_tensor(args.logits), read_tensor(args.values), config.window(),
                    config.phi1, config.phi2, alpha=config.alpha,
                    corner_size=config.corner_size, corner_penalty=config.corner_penalty)
@@ -88,8 +79,7 @@ def _read_instance(path, rank: int, name: str) -> np.ndarray:
     return array
 
 
-def cmd_verify_theorem(args) -> int:
-    config = _resolve_config(args)
+def cmd_verify_theorem(args, config: Config) -> int:
     window = config.window()
     if args.logits or args.values:
         if not (args.logits and args.values):
@@ -135,8 +125,7 @@ def cmd_verify_theorem(args) -> int:
     return EXIT_OK if all(report.passed for report in reports) else EXIT_THEOREM
 
 
-def cmd_blend(args) -> int:
-    config = _resolve_config(args)
+def cmd_blend(args, config: Config) -> int:
     _finite_rule(args.timestep, "timestep")
     _layer_rule(args.layer, "layer")
     with open(args.tokens, "r", encoding="utf-8") as handle:
@@ -198,8 +187,7 @@ def _all_frames(schedule, embedded, t: float, d: int) -> Blocks:
     return Blocks((total,) + frame_shape, blocks())
 
 
-def cmd_synth(args) -> int:
-    config = _resolve_config(args)
+def cmd_synth(args, config: Config) -> int:
     values = gen_inconsistent_values(args.n, args.b_v, args.hf_amplitude, config.seed)
     logits = gen_homogeneous_attention(args.n, args.decay)  # values first, as in verify-theorem
     write_tensor(args.out_logits, logits[None, None])
@@ -216,34 +204,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal-attention reweighting, spectral consistency checks, "
                     "and aligned prompt blending.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # parents: the config file and its overrides for every command, the generator inputs for two
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a key=value config file")
+    for name, cast in CONFIG_KEYS.values():
+        common.add_argument("--" + name.replace("_", "-"), type=cast, default=None, dest=name)
+    generator = argparse.ArgumentParser(add_help=False, parents=[common])
+    generator.add_argument("--decay", type=float, default=1.0)
+    generator.add_argument("--b-v", type=float, default=1.0, dest="b_v")
+    generator.add_argument("--hf-amplitude", type=float, default=1e-4, dest="hf_amplitude")
 
-    p = sub.add_parser("analyze", help="motion-intensity field from an attention-logits field")
+    p = sub.add_parser("analyze", parents=[common],
+                       help="motion-intensity field from an attention-logits field")
     p.add_argument("--input", required=True, help="rank-4 logits TensorFile (H, W, N, N)")
     p.add_argument("--output", required=True, help="destination for the (H, W, N) rho TensorFile")
     p.add_argument("--spectrogram", help="optional CSV of per-row spectrum magnitudes")
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reweight", help="motion-adaptive attention reweighting")
+    p = sub.add_parser("reweight", parents=[common], help="motion-adaptive attention reweighting")
     p.add_argument("--logits", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--out-values", required=True)
     p.add_argument("--out-attention", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_reweight)
 
-    p = sub.add_parser("verify-theorem", help="run the inconsistency-reduction check")
+    p = sub.add_parser("verify-theorem", parents=[generator], help="run the inconsistency-reduction check")
     p.add_argument("--sizes", default="32,64,128,256", help="comma-separated frame counts")
-    p.add_argument("--decay", type=float, default=1.0)
-    p.add_argument("--b-v", type=float, default=1.0, dest="b_v")
-    p.add_argument("--hf-amplitude", type=float, default=1e-4, dest="hf_amplitude")
     p.add_argument("--logits", help="verify one explicit instance instead of synthesising")
     p.add_argument("--values", help="value vector for --logits")
     p.add_argument("--report", help="write the report here instead of stdout")
-    _add_common(p)
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = sub.add_parser("blend", help="aligned multi-prompt conditioning matrices")
+    p = sub.add_parser("blend", parents=[common], help="aligned multi-prompt conditioning matrices")
     p.add_argument("--prompts", required=True, help="one $-organized prompt per line")
     p.add_argument("--spans", required=True, help="one 'start end' pair per line")
     p.add_argument("--tokens", required=True, help="token table: token<TAB>id lines")
@@ -254,17 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     frames = p.add_mutually_exclusive_group(required=True)
     frames.add_argument("--frame", type=int)
     frames.add_argument("--dump-all", action="store_true", dest="dump_all")
-    _add_common(p)
     p.set_defaults(func=cmd_blend)
 
-    p = sub.add_parser("synth", help="write a synthetic logits/values pair")
+    p = sub.add_parser("synth", parents=[generator], help="write a synthetic logits/values pair")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--decay", type=float, default=1.0)
-    p.add_argument("--b-v", type=float, default=1.0, dest="b_v")
-    p.add_argument("--hf-amplitude", type=float, default=1e-4, dest="hf_amplitude")
     p.add_argument("--out-logits", required=True)
     p.add_argument("--out-values", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -273,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except TensorFileError as exc:
         print(f"tiara: tensor file error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,13 +1,14 @@
-"""Exception types shared across the toolkit, and the one integer rule and
-two finiteness rules that every module applies to its parameters; a rule
-raises ``ValidationError`` with the message that names a bad value.
+"""Exception types shared across the toolkit, and the one integer rule, the
+one array-size bound and two finiteness rules that every module applies to
+its parameters; a rule raises ``ValidationError`` with the message that
+names a bad value.
 
 The CLI maps these onto exit codes: validation problems exit with 2,
 tensor-file problems with 4.  A failed theorem verification is not an
 exception; it is a report with ``passed=False`` (exit 3 at the CLI).
 """
 
-from math import isfinite
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -51,6 +52,19 @@ def _integer_rule(value, name: str, low=None, arrays: bool = False) -> None:
             raise ValidationError(f"{name} must be an integer{bound}, got an array of shape {array.shape}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be an integer{bound}, got {value}")
+
+
+def _size_rule(value, name: str, low=None, ndim: int = 1) -> None:
+    """An integer >= ``low`` that sizes the largest array a call builds, of
+    float64 with ``value`` entries along each of ``ndim`` (1 or 2) axes,
+    within the most bytes one array can hold; a larger size is named here
+    instead of NumPy failing to allocate it."""
+    _integer_rule(value, name, low)
+    limit = int(np.iinfo(np.intp).max)
+    most = limit // 8 if ndim == 1 else isqrt(limit // 8)
+    if value > most:
+        raise ValidationError(f"{name} must be at most {most}, the largest size whose array "
+                              f"fits in {limit} bytes, got {value}")
 
 
 def _finite_rule(value, name: str, low=None) -> None:

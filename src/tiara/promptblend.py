@@ -19,6 +19,7 @@ from .errors import AlignmentError, PromptParseError, ValidationError, _finite_r
 COMPONENT_NAMES = ("subject", "action", "place", "time", "quality")
 COMPONENT_COUNT = len(COMPONENT_NAMES)
 SEPARATOR = "$"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,8 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
         if not e0 < s1:
             raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
     t1, t2 = t_window[0], t_window[1]
-    _finite_rule(t1, "t1")  # before float(), which cannot name None or 10**400
-    _finite_rule(t2, "t2")
+    _t_window_rule(t1, t2)  # before float(), which cannot name None or 10**400
     t1, t2 = float(t1), float(t2)
-    _t_window_rule(t1, t2)
     _layer_rule(layer_threshold, "layer_threshold")
     return BlendSchedule(segments=segments, t_window=(t1, t2),
                          layer_threshold=int(layer_threshold),
@@ -190,17 +189,23 @@ def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
 
 def interpolation_weight(n, n_end: int, next_start: int):
     """Linear position of frame n, or of each frame in an integer array n,
-    inside the transition (n_end, next_start)."""
+    inside the transition (n_end, next_start), whose bounds and width must
+    fit int64."""
     _integer_rule(n_end, "n_end")
     _integer_rule(next_start, "next_start")
     _integer_rule(n, "frame", arrays=True)
+    n_end, next_start = int(n_end), int(next_start)
     if next_start <= n_end:
         raise ValidationError(f"next span start {next_start} must exceed span end {n_end}")
+    if not (_INT64.min <= n_end and next_start <= _INT64.max and next_start - n_end <= _INT64.max):
+        raise ValidationError(f"transition window [{n_end}, {next_start}] must lie in int64 "
+                              f"and be less than 2**63 wide")
     frames = np.asarray(n)
     bad = frames[~((n_end <= frames) & (frames <= next_start))]
     if bad.size:
         raise ValidationError(f"frame {bad[0]} outside transition window [{n_end}, {next_start}]")
-    return (frames - n_end) / (next_start - n_end)
+    # every frame now lies in the window, so int64 holds it and its offset exactly
+    return (frames.astype(np.int64, copy=False) - n_end) / (next_start - n_end)
 
 
 def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,

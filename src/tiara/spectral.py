@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array_rule, _integer_rule
+from .errors import ValidationError, _finite_array_rule, _integer_rule, _size_rule
 
 WINDOW_KINDS = ("rectangular", "hann", "gaussian", "blackman")
 
@@ -94,7 +94,7 @@ def _kind_rule(kind, name: str) -> None:
         raise ValidationError(f"unknown {name} {kind!r}; expected one of {WINDOW_KINDS}")
 
 
-_window_length_rule = partial(_integer_rule, low=1)
+_window_length_rule = partial(_size_rule, low=1)
 
 
 def make_window(kind: str, length: int) -> Window:
@@ -231,6 +231,7 @@ def pad_periodic(x, left: int, right: int) -> np.ndarray:
     x = as_signal(x)
     _integer_rule(left, "left", 0)
     _integer_rule(right, "right", 0)
+    _size_rule(len(x) + int(left) + int(right), "padded length len(x) + left + right")
     idx = np.arange(-int(left), len(x) + int(right)) % len(x)
     return x[idx]
 

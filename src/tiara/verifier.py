@@ -29,7 +29,7 @@ from math import log
 import numpy as np
 
 from .consistency import _error_and_kappa, homogeneity_deviation
-from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
+from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule, _size_rule
 from .spectral import Window, as_square
 
 E_TOLERANCE = 1e-12
@@ -113,7 +113,7 @@ def gen_homogeneous_attention(n: int, decay: float) -> np.ndarray:
     attention weight decays as exp(-decay * d) with the frame separation.
     decay = 0 gives uniform attention; large decay approaches the identity.
     """
-    _integer_rule(n, "n", 2)
+    _size_rule(n, "n", 2, ndim=2)
     _finite_rule(decay, "decay", 0)
     n = int(n)
     k = np.arange(n, dtype=float)
@@ -132,7 +132,7 @@ def gen_inconsistent_values(n: int, b_v: float, hf_amplitude: float, seed: int) 
     a seed-derived phase; with hf_amplitude = b_v it vanishes and the result
     is a pure Nyquist tone scaled to b_v.
     """
-    _integer_rule(n, "n", 2)
+    _size_rule(n, "n", 2)
     _seed_rule(seed, "seed")
     _finite_rule(b_v, "b_v")
     try:

@@ -1,5 +1,6 @@
 """Tests for the tensor container, configuration loading, and the CLI."""
 
+import argparse
 import os
 import struct
 import subprocess
@@ -338,6 +339,60 @@ class TestEveryKeyGuarded:
         flag = "--" + CONFIG_KEYS[key][0].replace("_", "-")
         assert run_cli(command, *args, f"{flag}={self.INVALID[key]}") == 2
         assert key in capsys.readouterr().err.split()
+        assert not out.exists()
+
+
+class TestCommandSurface:
+    """Every command takes --config and one override flag per config key,
+    each with default None; synth and verify-theorem take the generator
+    inputs; and each command has its own options besides."""
+
+    OWN = {"analyze": ["--input", "--output", "--spectrogram"],
+           "reweight": ["--logits", "--values", "--out-values", "--out-attention"],
+           "verify-theorem": ["--sizes", "--logits", "--values", "--report"],
+           "blend": ["--prompts", "--spans", "--tokens", "--embeddings", "--output",
+                     "--timestep", "--layer", "--frame", "--dump-all"],
+           "synth": ["--n", "--out-logits", "--out-values"]}
+    GENERATOR = {"--decay": ("decay", 1.0), "--b-v": ("b_v", 1.0),
+                 "--hf-amplitude": ("hf_amplitude", 1e-4)}
+
+    @pytest.mark.parametrize("command", sorted(OWN))
+    def test_flags(self, command):
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {flag: action for action in commands[command]._actions
+                 for flag in action.option_strings}
+        assert flags.pop("-h") is flags.pop("--help")
+        config = flags.pop("--config")
+        assert (config.dest, config.type, config.default) == ("config", None, None)
+        for name, cast in CONFIG_KEYS.values():
+            action = flags.pop("--" + name.replace("_", "-"))
+            assert (action.dest, action.type, action.default) == (name, cast, None)
+        if command in ("synth", "verify-theorem"):
+            for flag, (dest, default) in self.GENERATOR.items():
+                action = flags.pop(flag)
+                assert (action.dest, action.type, action.default) == (dest, float, default)
+        assert sorted(flags) == sorted(self.OWN[command])
+
+
+class TestSizesNoArrayCanHold:
+    """A size whose array NumPy cannot hold exits 2 naming it, before any
+    file is read or written; NumPy raised a raw ValueError (exit 1)."""
+
+    @pytest.mark.parametrize("size", [10**400, 2**62], ids=["10**400", "2**62"])
+    @pytest.mark.parametrize("command, args, named", [
+        ("analyze", ["--input", "missing", "--window-length"], "window.length"),
+        ("synth", ["--out-logits", "out", "--out-values", "out", "--n"], "n"),
+        ("verify-theorem", ["--report", "out", "--sizes"], "n"),
+    ], ids=["analyze", "synth", "verify-theorem"])
+    def test_exits_validation(self, tmp_path, capsys, command, args, named, size):
+        out = tmp_path / "out"
+        argv = [tmp_path / arg if arg in ("missing", "out") else arg for arg in args]
+        if command == "analyze":
+            argv[2:2] = ["--output", out]
+        assert run_cli(command, *argv, size) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tiara: {named} must be at most ") and err.endswith(f", got {size}\n")
         assert not out.exists()
 
 

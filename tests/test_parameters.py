@@ -7,6 +7,7 @@ and never truncated.  The rule lives in ``tiara.errors`` alone.
 
 import ast
 import re
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,24 @@ def test_tensor_dimension_must_fit_the_header(tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         write_tensor(tmp_path / "t.tf", Blocks((2**70,), []))
     assert not list(tmp_path.iterdir())
+
+
+_LIMIT = int(np.iinfo(np.intp).max)  # the most bytes one array can hold
+
+
+@pytest.mark.parametrize("size", [10**400, 2**62], ids=["10**400", "2**62"])
+@pytest.mark.parametrize("name, most, call", [
+    ("window length", _LIMIT // 8, lambda v: make_window("hann", v)),
+    ("n", isqrt(_LIMIT // 8), lambda v: gen_homogeneous_attention(v, 1.0)),
+    ("n", _LIMIT // 8, lambda v: gen_inconsistent_values(v, 1.0, 1e-4, 0)),
+    ("padded length len(x) + left + right", _LIMIT // 8, lambda v: pad_periodic(_X, 0, v - 8)),
+], ids=["make_window", "gen_homogeneous_attention", "gen_inconsistent_values", "pad_periodic"])
+def test_size_no_array_can_hold_named(name, most, call, size):
+    # NumPy raised a raw ValueError: "Maximum allowed size exceeded" or "array is too big"
+    message = (f"{name} must be at most {most}, the largest size whose array fits in "
+               f"{_LIMIT} bytes, got {size}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(size)
 
 
 def test_one_module_decides_integers_and_finiteness():

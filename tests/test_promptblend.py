@@ -185,6 +185,35 @@ class TestInterpolationWeight:
             interpolation_weight(n, 10, 20)
 
 
+    @pytest.mark.parametrize("n, n_end, next_start", [
+        (5, -2**63 + 1, 10),         # 2**63 + 9 wide: the offset wrapped to -1.0
+        (6, 5, 10**400),             # past int64: a raw OverflowError
+        (6, -10**400, 10),
+        (0, -2**62, 2**62),          # exactly 2**63 wide
+        (5, np.int64(-2**63), np.uint64(10))],
+        ids=["2**63+9 wide", "end 10**400", "start -10**400", "2**63 wide", "NumPy bounds"])
+    def test_window_outside_int64_named(self, n, n_end, next_start):
+        message = f"transition window [{n_end}, {next_start}] must lie in int64 and be less than 2**63 wide"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            interpolation_weight(n, n_end, next_start)
+
+    @pytest.mark.parametrize("frames", [np.array([2**62 - 2, 2**62 - 1], dtype=np.int64),
+                                        np.array([2**31 - 1], dtype=np.int32)])
+    def test_widest_windows_stay_in_the_unit_interval(self, frames):
+        # the widest window int64 holds, and an int32 frame array whose offset int32 cannot
+        n_end, next_start = -2**62, 2**62 - 1
+        weights = interpolation_weight(frames, n_end, next_start)
+        want = [(int(f) - n_end) / (next_start - n_end) for f in frames]
+        assert weights.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+        assert ((0 <= weights) & (weights <= 1)).all()
+
+    def test_conditioning_never_blends_past_the_later_prompt(self):
+        embedded = np.arange(8.0).reshape(2, 2, 2)
+        schedule = make_schedule([(-2**63, -2**63 + 1), (10, 20)], (0.5, 1.0), 4)
+        with pytest.raises(ValidationError, match=r"^transition window \[-9223372036854775807, 10\]"):
+            conditioning(schedule, embedded, 5, 0.8, 0)  # returned -embedded[1]
+
+
 class TestSchedule:
     def test_overlapping_spans_rejected(self):
         with pytest.raises(ValidationError, match="ordered"):
@@ -197,6 +226,11 @@ class TestSchedule:
     def test_bad_t_window(self):
         with pytest.raises(ValidationError, match="^t1 must be <= t2, got 0.9 > 0.5$"):
             make_schedule([(0, 10)], (0.9, 0.5), 8)
+
+    def test_t_window_printed_as_given(self):
+        # as Config(t1=2, t2=1) prints it: the window is checked before float()
+        with pytest.raises(ValidationError, match="^t1 must be <= t2, got 2 > 1$"):
+            make_schedule([(0, 10)], (2, 1), 8)
 
     @pytest.mark.parametrize("t_window", [(np.nan, 1.0), (0.5, np.nan), (-np.inf, 1.0),
                                           (0.5, np.inf)])
