@@ -17,7 +17,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array_rule, _finite_rule, _integer_rule
+from .errors import ValidationError, _finite_array_rule, _finite_rule, _index_rule, _integer_rule, _shown
 from .spectral import Window, _blocks, _windowed_sums, as_square
 
 # A row whose rescaled sum falls below this is re-softmaxed directly: an entry that underflowed
@@ -119,13 +119,8 @@ def _rows_at(row, i) -> tuple[np.ndarray, np.ndarray]:
     row = np.asarray(row, dtype=float)
     if row.ndim == 0 or row.shape[-1] == 0:
         raise ValidationError(f"attention rows must have shape (..., N) with N >= 1, got shape {row.shape}")
-    n = row.shape[-1]
-    _integer_rule(i, "i", arrays=True)
+    i = _index_rule(i, "row index", row.shape[-1])
     _finite_array_rule(row, "attention rows")
-    i = np.asarray(i)
-    bad = i[(i < 0) | (i >= n)]
-    if bad.size:
-        raise ValidationError(f"row index {bad[0]} out of range [0, {n})")
     try:
         np.broadcast_shapes(row.shape[:-1], i.shape)
     except ValueError:
@@ -161,7 +156,7 @@ def _corner_size_rule(size, name: str, n: int | None = None) -> None:
     if size is not None:
         _integer_rule(size, name, 0)
         if n is not None and not size <= n // 2:
-            raise ValidationError(f"{name} must be <= N//2 = {n // 2}, got {size}")
+            raise ValidationError(f"{name} must be <= N//2 = {n // 2}, got {_shown(size)}")
 
 
 def _band_rule(phi1, phi2, npad: int | None = None) -> None:
@@ -170,9 +165,9 @@ def _band_rule(phi1, phi2, npad: int | None = None) -> None:
         if phi is not None:
             _integer_rule(phi, name, low)
     if phi1 is not None and phi2 is not None and not phi1 < phi2:
-        raise ValidationError(f"phi1 must be < phi2, got {phi1} >= {phi2}")
+        raise ValidationError(f"phi1 must be < phi2, got {_shown(phi1)} >= {_shown(phi2)}")
     if phi2 is not None and npad is not None and not phi2 <= npad // 2 + 1:
-        raise ValidationError(f"phi2 must be <= Npad//2 + 1 = {npad // 2 + 1}, got {phi2}")
+        raise ValidationError(f"phi2 must be <= Npad//2 + 1 = {npad // 2 + 1}, got {_shown(phi2)}")
 
 
 def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int, int]:
@@ -245,7 +240,7 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
     row = np.asarray(row, dtype=float)
     if row.ndim != 1:
         raise ValidationError(f"attention row must have shape (N,), got shape {row.shape}")
-    _integer_rule(i, "i")  # one row, one frame: row_spectrum also takes arrays
+    _integer_rule(i, "row index")  # one row, one frame: row_spectrum also takes arrays
     return float(_motion(*_rows_at(row, i), window, phi1, phi2)[0])
 
 
@@ -263,19 +258,20 @@ def motion_profile(attention_map, window: Window, phi1: int | None = None,
 
 
 def _penalty(rho: np.ndarray, alpha, corner_size, corner_penalty):
-    """The checked parts of the penalty for rho (..., N): the (N, N) corner
-    mask, the corner size and penalty beta, and the diagonal (..., N)."""
+    """The checked parts of the penalty lambda for rho (..., N): its (N, N)
+    corner part (-beta on the two corner triangles, 0 elsewhere), the corner
+    size and penalty beta, and its diagonal (..., N)."""
     if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN fails both comparisons
         raise ValidationError("rho (motion intensities) must lie in [0, 1]")
     n = rho.shape[-1]
     _finite_rule(alpha, "alpha", 0)
     _strength_rule(corner_penalty, "corner_penalty")
     _corner_size_rule(corner_size, "corner_size", n)
-    corner_size = n // 4 if corner_size is None else corner_size
-    corner_penalty = alpha / 2.0 if corner_penalty is None else corner_penalty
+    corner_size = int(n // 4 if corner_size is None else corner_size)
+    beta = float(alpha / 2.0 if corner_penalty is None else corner_penalty)
     i, j = np.indices((n, n))
-    corner = (i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size)
-    return corner, int(corner_size), float(corner_penalty), -alpha * (1.0 - rho)
+    corner = np.where((i + (n - 1 - j) < corner_size) | ((n - 1 - i) + j < corner_size), -beta, 0.0)
+    return corner, corner_size, beta, -alpha * (1.0 - rho)
 
 
 def build_reweight_matrix(rho, alpha: float, corner_size: int | None = None,
@@ -294,8 +290,7 @@ def build_reweight_matrix(rho, alpha: float, corner_size: int | None = None,
         raise ValidationError("rho must be a sequence (or a stack of them)")
     corner, corner_size, corner_penalty, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
     n = rho.shape[-1]
-    lam = np.zeros(rho.shape + (n,))
-    lam[..., corner] = -corner_penalty
+    lam = np.broadcast_to(corner, rho.shape + (n,)).copy()  # zeros + corner would turn -0.0 into 0.0
     lam[..., np.arange(n), np.arange(n)] = diagonal
     return ReweightMatrix(matrix=lam, alpha=float(alpha), corner_size=corner_size,
                           corner_penalty=corner_penalty)
@@ -331,16 +326,16 @@ def tiara(logits_field, values_field, window: Window, phi1: int | None = None,
     attention = softmax_rows(logits_field)
     frames = np.arange(attention.shape[-1])
     rho = _motion(attention, frames, window, phi1, phi2)[0]
-    corner, _, beta, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
+    corner, _, _, diagonal = _penalty(rho, alpha, corner_size, corner_penalty)
     _finite_array_rule(values_field, "values")
-    attention *= np.where(corner, np.exp(-beta), 1.0)
+    attention *= np.exp(corner)
     attention[..., frames, frames] *= np.exp(diagonal)
     total = attention.sum(axis=-1, keepdims=True)
     kept = total >= _RESCALE_FLOOR
     np.divide(attention, total, out=attention, where=kept)
     if not kept.all():
         rows = np.nonzero(~kept[..., 0])  # (h, w, i) of each row to re-softmax
-        lam = np.where(corner[rows[-1]], -beta, 0.0)
+        lam = corner[rows[-1]]
         lam[np.arange(len(lam)), rows[-1]] = diagonal[rows]
         attention[rows] = softmax_rows(logits_field[rows] + lam)
     return TiaraResult(outputs=attention @ values_field, attention=attention, rho=rho)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _finite_rule, _integer_rule
+from .errors import ValidationError, _finite_rule, _integer_rule, _shown
 from .spectral import Window, _blocks, as_signal, as_square, dstft_magnitudes
 
 KAPPA_TOLERANCE = 1e-12
@@ -23,7 +23,7 @@ class InconsistencyReport:
 def _k_threshold_rule(k_t, name: str, n: int | None = None) -> None:
     _integer_rule(k_t, name, 1)
     if n is not None and not k_t <= n // 2:
-        raise ValidationError(f"{name} must be <= N//2 = {n // 2}, got {k_t}")
+        raise ValidationError(f"{name} must be <= N//2 = {n // 2}, got {_shown(k_t)}")
 
 
 def high_band(x, w: Window, k_t: int, tau=None) -> np.ndarray:

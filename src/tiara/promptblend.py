@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import AlignmentError, PromptParseError, ValidationError, _finite_rule, _integer_rule
+from .errors import (AlignmentError, PromptParseError, ValidationError, _finite_rule, _index_rule,
+                     _integer_rule, _shown)
 
 COMPONENT_NAMES = ("subject", "action", "place", "time", "quality")
 COMPONENT_COUNT = len(COMPONENT_NAMES)
@@ -147,12 +148,7 @@ def embed_aligned(aligned: AlignedPromptSet, embedding_table) -> np.ndarray:
     table = np.asarray(embedding_table, dtype=float)
     if table.ndim != 2:
         raise ValidationError(f"embedding table must be rank 2 (vocab x d), got shape {table.shape}")
-    tokens = aligned.prompts
-    if tokens.size:
-        for token in (tokens.max(), tokens.min()):  # a negative id would index from the end
-            if not 0 <= token < table.shape[0]:
-                raise ValidationError(f"token id {token} out of range for vocabulary of {table.shape[0]}")
-    return table[tokens]
+    return table[_index_rule(aligned.prompts, "token id", table.shape[0])]  # -1 would read the last row
 
 
 def _t_window_rule(t1, t2) -> None:
@@ -168,8 +164,9 @@ _layer_rule = partial(_integer_rule, low=0)
 def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
     segments = tuple(segments)
     for s, e in segments:
-        _integer_rule(s, "span start")
-        _integer_rule(e, "span end")
+        for bound, name in ((s, "span start"), (e, "span end")):  # conditioning reads them as int64
+            _integer_rule(bound, name)
+            _index_rule(bound, name, _INT64.max + 1, _INT64.min)
         if not s <= e:
             raise ValidationError(f"span start {s} exceeds span end {e}")
     segments = tuple((int(s), int(e)) for s, e in segments)
@@ -193,17 +190,13 @@ def interpolation_weight(n, n_end: int, next_start: int):
     fit int64."""
     _integer_rule(n_end, "n_end")
     _integer_rule(next_start, "next_start")
-    _integer_rule(n, "frame", arrays=True)
     n_end, next_start = int(n_end), int(next_start)
     if next_start <= n_end:
-        raise ValidationError(f"next span start {next_start} must exceed span end {n_end}")
+        raise ValidationError(f"next span start {_shown(next_start)} must exceed span end {_shown(n_end)}")
     if not (_INT64.min <= n_end and next_start <= _INT64.max and next_start - n_end <= _INT64.max):
-        raise ValidationError(f"transition window [{n_end}, {next_start}] must lie in int64 "
+        raise ValidationError(f"transition window [{_shown(n_end)}, {_shown(next_start)}] must lie in int64 "
                               f"and be less than 2**63 wide")
-    frames = np.asarray(n)
-    bad = frames[~((n_end <= frames) & (frames <= next_start))]
-    if bad.size:
-        raise ValidationError(f"frame {bad[0]} outside transition window [{n_end}, {next_start}]")
+    frames = _index_rule(n, "frame", next_start + 1, n_end)
     # every frame now lies in the window, so int64 holds it and its offset exactly
     return (frames.astype(np.int64, copy=False) - n_end) / (next_start - n_end)
 
@@ -232,11 +225,8 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
     if embedded.shape[0] != len(schedule.segments):
         raise ValidationError(
             f"{embedded.shape[0]} embedded prompts but {len(schedule.segments)} spans")
-    _integer_rule(n, "frame", arrays=True)
-    frames = np.asarray(n)
-    bad = frames[~((0 <= frames) & (frames < schedule.total_frames))]
-    if bad.size:
-        raise ValidationError(f"frame {bad[0]} out of range [0, {schedule.total_frames})")
+    # as int64, which holds every frame of a schedule: a uint64 frame would meet the starts as float64
+    frames = _index_rule(n, "frame", schedule.total_frames).astype(np.int64, copy=False)
     _finite_rule(t, "t")
     _layer_rule(d, "d")
     if out is not None:
@@ -247,8 +237,7 @@ def conditioning(schedule: BlendSchedule, embedded: np.ndarray, n, t: float,
         if np.may_share_memory(out, embedded):
             raise ValidationError("out may share memory with embedded; "
                                   "blending writes out while it reads embedded")
-    starts = [s for s, _ in schedule.segments]
-    ends = np.array([e for _, e in schedule.segments])
+    starts, ends = np.array(schedule.segments, dtype=np.int64).T
     owner = np.maximum(np.searchsorted(starts, frames, side="right") - 1, 0)
     # take() copies even for a 0-d index, so a single frame never aliases embedded;
     # every owner is in range, and mode="clip" fills out directly where "raise"

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array_rule, _integer_rule, _size_rule
+from .errors import ValidationError, _finite_array_rule, _index_rule, _integer_rule, _size_rule
 
 WINDOW_KINDS = ("rectangular", "hann", "gaussian", "blackman")
 
@@ -129,10 +129,8 @@ def make_window(kind: str, length: int) -> Window:
 
 
 def _check_frequency(k, n: int) -> int:
-    _integer_rule(k, "frequency index")
-    if not 0 <= k < n:
-        raise ValidationError(f"frequency index {k} out of range [0, {n})")
-    return int(k)
+    _integer_rule(k, "frequency index")  # one index: dft takes no arrays
+    return int(_index_rule(k, "frequency index", n))
 
 
 def dft(x, k: int) -> complex:

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import TensorFileError, ValidationError, _integer_rule
+from .errors import TensorFileError, ValidationError, _integer_rule, _shown
 
 MAGIC = b"TIAR"
 VERSION = 1
@@ -46,7 +46,7 @@ def write_tensor(path, array) -> None:
     for n in array.shape:
         _integer_rule(n, "tensor dimension", 0)
         if n >= 1 << 64:
-            raise ValidationError(f"tensor dimension must be < 2**64 (u64), got {n}")
+            raise ValidationError(f"tensor dimension must be < 2**64 (u64), got {_shown(n)}")
     shape = tuple(int(n) for n in array.shape)
     expected, written = 8 * prod(shape), 0
     directory = os.path.dirname(os.path.abspath(path))

@@ -236,7 +236,7 @@ class TestMotionIntensity:
     def test_non_integer_frame_index_rejected(self, i, got):
         # 1.5 raised a raw IndexError from the gather
         w = make_window("hann", 5)
-        message = rf"^i must be an integer, got {re.escape(got)}$"
+        message = rf"^row index must be an integer, got {re.escape(got)}$"
         with pytest.raises(ValidationError, match=message):
             row_spectrum(np.arange(8.0), w, i)
         with pytest.raises(ValidationError, match=message):
@@ -415,6 +415,16 @@ class TestBuildReweightMatrix:
         expected = np.zeros((4, 4))
         expected[0, 3] = expected[3, 0] = -2.0
         assert np.array_equal(got.matrix, expected)
+
+    @pytest.mark.parametrize("beta", [0, 0.0, np.float32(0.0)], ids=["int", "float", "float32"])
+    def test_zero_corner_penalty_is_written_as_minus_zero(self, beta):
+        # lambda's corner part is -beta as a float, and the matrix copies it: zeros + corner
+        # would turn its -0.0 into 0.0
+        got = build_reweight_matrix(np.ones((2, 4)), alpha=1.0, corner_size=1, corner_penalty=beta).matrix
+        assert got.dtype == np.float64
+        minus_zero = np.eye(4, dtype=bool) | np.eye(4, k=3, dtype=bool) | np.eye(4, k=-3, dtype=bool)
+        assert np.array_equal(got, np.zeros((2, 4, 4)))  # rho = 1: the diagonal is -alpha * 0.0 = -0.0
+        assert np.array_equal(np.signbit(got), np.broadcast_to(minus_zero, (2, 4, 4)))
 
     def test_symmetry_and_sign(self):
         rng = np.random.default_rng(29)

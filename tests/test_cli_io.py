@@ -934,6 +934,18 @@ class TestBlendCommand:
         assert out.read_bytes() == (tmp_path / "want.tf").read_bytes()
         assert read_tensor(out).shape == (schedule.total_frames, 5, 4)
 
+    def test_span_bound_past_int64_exits_2(self, tmp_path, blend_files, capsys):
+        # was accepted: a span end of 2**63 made the span ends float64, which rounds frames near it
+        prompts, spans, tokens, embeddings, _ = blend_files
+        spans.write_text("0 50\n150 9223372036854775808\n")
+        code = run_cli("blend", "--prompts", prompts, "--spans", spans,
+                       "--tokens", tokens, "--embeddings", embeddings,
+                       "--output", tmp_path / "cond.tf", "--frame", 100,
+                       "--timestep", 0.8, "--layer", 0)
+        assert code == 2
+        assert "span end 9223372036854775808 out of range" in capsys.readouterr().err
+        assert not (tmp_path / "cond.tf").exists()
+
     def test_parse_error_reports_line(self, tmp_path, blend_files, capsys):
         prompts, spans, tokens, embeddings, _ = blend_files
         prompts.write_text("a$b$c$d$e\nf$g$h\n")

@@ -16,9 +16,10 @@ import pytest
 import tiara
 from tiara import (ConfigError, ValidationError, build_reweight_matrix, conditioning, dft, dstft,
                    gen_homogeneous_attention, gen_inconsistent_values, inconsistency_error,
-                   inconsistency_profile, interpolation_weight, make_schedule, make_window,
+                   estimate_kappa, inconsistency_profile, interpolation_weight, make_schedule, make_window,
                    motion_intensity, pad_periodic, row_spectrum, write_tensor)
 from tiara.config import Config
+from tiara.errors import _shown
 from tiara.tensorfile import Blocks
 
 _X = np.arange(8.0)
@@ -41,8 +42,8 @@ INTEGER_PARAMETERS = [
     ("gen_homogeneous_attention", "n", " >= 2", lambda v: gen_homogeneous_attention(v, 1.0), 8),
     ("gen_inconsistent_values", "n", " >= 2", lambda v: gen_inconsistent_values(v, 1.0, 1e-4, 0), 8),
     ("dstft", "m", "", lambda v: dstft(_X, _W, v, 1), 2),
-    ("row_spectrum", "i", "", lambda v: row_spectrum(_X, _W, v), 2),
-    ("motion_intensity", "i", "", lambda v: motion_intensity(_X, _W, v), 2),
+    ("row_spectrum", "row index", "", lambda v: row_spectrum(_X, _W, v), 2),
+    ("motion_intensity", "row index", "", lambda v: motion_intensity(_X, _W, v), 2),
     ("inconsistency_error", "tau", "", lambda v: inconsistency_error(_X, _W, v, 2), 3),
     ("dft", "frequency index", "", lambda v: dft(_X, v), 2),
     ("dstft", "frequency index", "", lambda v: dstft(_X, _W, 0, v), 2),
@@ -55,7 +56,8 @@ INTEGER_PARAMETERS = [
     ("interpolation_weight", "n_end", "", lambda v: interpolation_weight(6, v, 8), 5),
     ("interpolation_weight", "next_start", "", lambda v: interpolation_weight(6, 5, v), 8),
 ]
-_IDS = [f"{function}-{name}" for function, name, *_ in INTEGER_PARAMETERS]
+# an id names the parameter as its message does, but the row index by its argument, i
+_IDS = [f"{function}-{'i' if name == 'row index' else name}" for function, name, *_ in INTEGER_PARAMETERS]
 
 
 @pytest.mark.parametrize("value, got", [(True, "True (dtype bool)"), (np.True_, "True (dtype bool)"),
@@ -77,7 +79,7 @@ def test_numpy_integer_accepted(function, name, bound, call, valid):
 @pytest.mark.parametrize("function, name, bound, call, valid", INTEGER_PARAMETERS, ids=_IDS)
 def test_arrays_only_where_the_parameter_takes_them(function, name, bound, call, valid):
     # an array for a scalar parameter raised a TypeError or ValueError past the check
-    if (function, name) in {("row_spectrum", "i"), ("conditioning", "frame"),
+    if (function, name) in {("row_spectrum", "row index"), ("conditioning", "frame"),
                             ("interpolation_weight", "frame")}:
         call(np.full(2, valid))
     else:
@@ -95,6 +97,56 @@ def test_big_python_ints_stay_integers():
     assert inconsistency_error(_X, _W, big, 2) == inconsistency_error(_X, _W, big % 8, 2)
     with pytest.raises(ValidationError, match=f"^frame {big} out of range"):
         conditioning(_SCHEDULE, _EMBEDDED, big, 0.5, 0)
+
+
+_HUGE = "<integer of 5001 digits>"  # 10**5000, past the 4,300 digits str() prints
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_window("hann", 10**5000), ValidationError,
+     f"window length must be at most {np.iinfo(np.intp).max // 8}, the largest size whose array "
+     f"fits in {np.iinfo(np.intp).max} bytes, got {_HUGE}"),
+    (lambda: make_window("hann", -10**5000), ValidationError,
+     f"window length must be an integer >= 1, got -{_HUGE}"),
+    (lambda: interpolation_weight(6, 5, 10**5000), ValidationError,
+     f"transition window [5, {_HUGE}] must lie in int64 and be less than 2**63 wide"),
+    (lambda: interpolation_weight(6, 10**5000, 5), ValidationError,
+     f"next span start 5 must exceed span end {_HUGE}"),
+    (lambda: build_reweight_matrix(np.ones(8), 6.0, corner_size=10**5000), ValidationError,
+     f"corner_size must be <= N//2 = 4, got {_HUGE}"),
+    (lambda: dft(_X, 10**5000), ValidationError, f"frequency index {_HUGE} out of range [0, 8)"),
+    (lambda: make_schedule([(0, 10**5000), (1, 2)], (0.6, 1.0), 8), ValidationError,
+     f"span end {_HUGE} out of range [-9223372036854775808, 9223372036854775808)"),
+    (lambda: row_spectrum(_X, _W, 10**5000), ValidationError, f"row index {_HUGE} out of range [0, 8)"),
+    (lambda: row_spectrum(_X, _W, [10**5000]), ValidationError,
+     f"row index must be an integer, got {_HUGE} (dtype object)"),
+    (lambda: conditioning(_SCHEDULE, _EMBEDDED, -10**5000, 0.5, 0), ValidationError,
+     f"frame -{_HUGE} out of range [0, 12)"),
+    (lambda: motion_intensity(_X, _W, 0, 0, 10**5000), ValidationError,
+     f"phi2 must be <= Npad//2 + 1 = 6, got {_HUGE}"),
+    (lambda: motion_intensity(_X, _W, 0, 10**5000, 3), ValidationError, f"phi1 must be < phi2, got {_HUGE} >= 3"),
+    (lambda: estimate_kappa(_X, _X, _W, 10**5000), ValidationError,
+     f"k_threshold must be <= N//2 = 4, got {_HUGE}"),
+    (lambda: write_tensor("unwritten.tf", Blocks((10**5000,), [])), ValidationError,
+     f"tensor dimension must be < 2**64 (u64), got {_HUGE}"),
+    (lambda: Config(corner_size=-10**5000), ConfigError, f"corner_size must be an integer >= 0, got -{_HUGE}"),
+    (lambda: Config(seed=-10**5000), ConfigError, f"seed must be an integer >= 0, got -{_HUGE}"),
+], ids=["window_length", "negative_window_length", "next_start", "n_end", "corner_size", "dft",
+        "span_end", "row_index", "row_index_list", "frame", "phi2", "phi1", "k_threshold", "tensor_dimension",
+        "config_corner_size", "config_seed"])
+def test_huge_python_ints_named_by_digit_count(call, error, message):
+    # printing an int of more than 4,300 digits raised "ValueError: Exceeds the limit"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("value, shown", [(10**5000 - 1, "<integer of 5000 digits>"),
+                                          (-(10**4300), "-<integer of 4301 digits>"),
+                                          (2**20000, "<integer of 6021 digits>"),
+                                          (10**4299, str(10**4299)), (np.int64(-5), "-5")],
+                         ids=["10**5000-1", "-10**4300", "2**20000", "10**4299", "int64"])
+def test_shown_prints_what_str_can_and_counts_digits_past_it(value, shown):
+    assert _shown(value) == shown
 
 
 @pytest.mark.parametrize("dimension, got", [(2.5, "2.5 (dtype float64)"), (True, "True (dtype bool)"),
@@ -162,6 +214,17 @@ def test_one_module_sizes_blocks():
              for path in sorted(Path(tiara.__file__).parent.glob("*.py")) if path.name != "spectral.py"
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
              if "BLOCK_BYTES" in line]
+    assert found == []
+
+
+@pytest.mark.parametrize("phrase", ["out of range", "arrays=True"])
+def test_one_module_bounds_indices(phrase):
+    """Only tiara/errors.py says "out of range" or passes ``arrays=True``:
+    every index, scalar or array, is range-checked by ``_index_rule``."""
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(Path(tiara.__file__).parent.glob("*.py")) if path.name != "errors.py"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if phrase in line]
     assert found == []
 
 

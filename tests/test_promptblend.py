@@ -152,10 +152,16 @@ class TestEmbedAligned:
         with pytest.raises(ValidationError, match="out of range"):
             embed_aligned(aligned, np.zeros((4, 3)))
 
+    def test_first_bad_id_in_row_major_order_is_named(self):
+        # the largest id was named first, whatever its position
+        aligned = align([organized([2, -1], [0], [0], [0], [7])])
+        with pytest.raises(ValidationError, match=r"^token id -1 out of range \[0, 4\)$"):
+            embed_aligned(aligned, np.zeros((4, 3)))
+
     def test_negative_id_rejected(self):
         # id -1 silently read the last row of the table
         aligned = align([organized([2, -1], [0], [0], [0], [0])])
-        message = "token id -1 out of range for vocabulary of 4"
+        message = "token id -1 out of range [0, 4)"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             embed_aligned(aligned, np.zeros((4, 3)))
 
@@ -169,7 +175,7 @@ class TestInterpolationWeight:
         assert interpolation_weight(100, 50, 150) == 0.5
 
     def test_outside_window(self):
-        with pytest.raises(ValidationError, match="outside transition"):
+        with pytest.raises(ValidationError, match=r"^frame 9 out of range \[10, 21\)$"):
             interpolation_weight(9, 10, 20)
 
     def test_degenerate_window(self):
@@ -246,6 +252,18 @@ class TestSchedule:
         with pytest.raises(ValidationError,
                            match=f"^layer_threshold must be an integer >= 0, got {layer}{dtype}$"):
             make_schedule([(0, 10)], (0.5, 1.0), layer)
+
+    @pytest.mark.parametrize("segments, named", [
+        ([(0, 2**60 + 200), (2**60 + 300, 2**63)], "span end 9223372036854775808"),
+        ([(-2**63 - 1, 4)], "span start -9223372036854775809"),
+        ([(0, 4), (10**400, 10**400)], f"span start {10**400}")],
+        ids=["end 2**63", "start -2**63-1", "start 10**400"])
+    def test_span_bound_outside_int64_rejected(self, segments, named):
+        # a bound of 2**63 made conditioning's span ends float64, rounding 2**60 + 200 up to
+        # 2**60 + 256: frame 2**60 + 250 returned prompt 0 unblended
+        message = f"{named} out of range [-9223372036854775808, 9223372036854775808)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_schedule(segments, (0.5, 1.0), 4)
 
     def test_no_spans_rejected(self):
         with pytest.raises(ValidationError, match="^at least one frame span is required$"):
@@ -416,10 +434,20 @@ class TestConditioningFrameArrays:
         with pytest.raises(ValidationError, match=wrong):
             conditioning(schedule, embedded, np.arange(4), 0.8, 0, out=np.empty((3, 4, 5)))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_frames_near_2_to_the_60_are_blended(self, dtype):
+        # a uint64 frame array was searched among the int64 span starts as float64, so frame
+        # 2**60 + 250 was given to the span starting at 2**60 + 300
+        embedded = np.arange(12.0).reshape(3, 2, 2)
+        schedule = make_schedule([(0, 2**60 + 200), (2**60 + 300, 2**60 + 400),
+                                  (2**60 + 500, 2**63 - 1)], (0.5, 1.0), 4)
+        got = conditioning(schedule, embedded, np.array([2**60 + 250], dtype=dtype), 0.8, 0)
+        assert np.array_equal(got[0], 0.5 * embedded[0] + 0.5 * embedded[1])
+
     def test_interpolation_weight_on_frame_array(self):
         frames = np.array([10, 15, 20])
         assert np.array_equal(interpolation_weight(frames, 10, 20), [0.0, 0.5, 1.0])
-        with pytest.raises(ValidationError, match="frame 9 outside"):
+        with pytest.raises(ValidationError, match=r"^frame 9 out of range \[10, 21\)$"):
             interpolation_weight(np.array([12, 9]), 10, 20)
 
 

@@ -133,6 +133,16 @@ class TestGenerators:
         profile = inconsistency_profile(a @ v, make_window("blackman", 9), 5)
         assert profile.per_tau.min() > 0.0
 
+    @pytest.mark.parametrize("value, got", [(np.nan, "nan"), (np.inf, "inf"), (None, "None (type NoneType)"),
+                                            ("0.5", "'0.5' (type str)"),
+                                            (10**400, "an integer too large for a float")],
+                             ids=["nan", "inf", "None", "str", "10**400"])
+    def test_non_number_amplitude_and_eta_named_as_non_finite(self, value, got):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'hf_amplitude must be finite, got {got}')}$"):
+            gen_inconsistent_values(8, 1.0, value, seed=0)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'eta must be finite, got {got}')}$"):
+            make_instance(np.eye(4), np.ones(4), make_window("blackman", 3), 1, value)
+
     def test_bad_amplitude_rejected(self):
         with pytest.raises(ValidationError, match="hf_amplitude"):
             gen_inconsistent_values(8, 1.0, 0.0, seed=0)
@@ -147,6 +157,11 @@ class TestVerifyTheorem:
         a = softmax_rows(gen_homogeneous_attention(n, 1.0))
         v = gen_inconsistent_values(n, 1.0, hf, seed)
         return make_instance(a, v, window, 5, eta)
+
+    def test_empty_map_named(self):
+        # raised NumPy's "zero-size array to reduction operation maximum" from the row-sum check
+        with pytest.raises(ValidationError, match=r"^attention must have at least one frame, got shape \(0, 0\)$"):
+            make_instance(np.zeros((0, 0)), np.zeros(0), make_window("blackman", 9), 5, 0.9)
 
     def test_measured_instance_fields(self):
         inst = self._instance(32)
