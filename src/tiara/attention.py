@@ -182,25 +182,20 @@ def _band(n: int, window: Window, phi1, phi2) -> tuple[int, int, int]:
 def _motion(rows: np.ndarray, i, window: Window, phi1, phi2, spectra: bool = False):
     """``motion_intensity`` of finite rows (..., N) at valid frames ``i``
     (broadcast against the leading axes), a block of rows at a time, as
-    (rho, None), or with ``spectra`` as (rho, ``row_spectrum``).  Without
-    spectra only rho's bins are transformed: those below phi1 and those of
-    the total (default phi2: k = 0 and the Nyquist bin; else all below it)."""
+    (rho, None), or with ``spectra`` as (rho, ``row_spectrum``).  Every bin
+    0 .. Npad//2 is transformed, by one kernel call per block."""
     n = rows.shape[-1]
     phi1, phi2, npad = _band(n, window, phi1, phi2)
-    parseval = phi2 == npad // 2 + 1
-    ks = np.arange(npad // 2 + 1 if spectra else max(phi1, 1) if parseval else phi2)
-    if parseval and npad % 2 == 0 and not spectra:
-        ks = np.append(ks, npad // 2)  # the Nyquist bin, last
+    ks = np.arange(npad // 2 + 1)
     shape = np.broadcast_shapes(rows.shape[:-1], np.shape(i))
     signals = rows.reshape(-1, n)
     frames = np.broadcast_to(i, shape).ravel()
     picks = None if len(signals) == len(frames) else np.broadcast_to(  # the row of each frame
         np.arange(len(signals)).reshape(rows.shape[:-1]), shape).ravel()
-    tap_columns = (np.arange(n)[:, None] + np.arange(window.length) - window.half) % n  # per frame
     rho = np.zeros(len(frames))
     out = np.empty((len(frames), len(ks))) if spectra else None
-    # per row: its deviation, the taps with their indices here and in the kernel, and the bins
-    for block in _blocks(len(frames), 8 * (n + 6 * window.length + 6 * len(ks))):
+    # bytes per row: copy, deviation, the kernel's tap indices and taps, its two complex bin arrays, moduli
+    for block in _blocks(len(frames), 8 * (2 * n + 2 * window.length + 5 * len(ks))):
         x = signals[block] if picks is None else signals[picks[block]]
         moving = (x != x[:, :1]).any(axis=-1)  # max != min
         x = x - x.mean(axis=-1, keepdims=True)
@@ -208,12 +203,7 @@ def _motion(rows: np.ndarray, i, window: Window, phi1, phi2, spectra: bool = Fal
         if spectra:
             out[block] = magnitudes
         power = magnitudes ** 2
-        if parseval:
-            taps = x[np.arange(len(x))[:, None], tap_columns[frames[block]]] * window.coefficients
-            nyquist = 0.0 if npad % 2 else power[:, -1]
-            total = (npad * (taps * taps).sum(axis=-1) + power[:, 0] + nyquist) / 2
-        else:
-            total = power[:, :phi2].sum(axis=-1)
+        total = power[:, :phi2].sum(axis=-1)
         high = np.maximum(total - power[:, :phi1].sum(axis=-1), 0.0)
         np.divide(high, total, out=rho[block], where=moving & (total != 0.0))
     return rho.reshape(shape), None if out is None else out.reshape(shape + (len(ks),))
@@ -227,12 +217,10 @@ def motion_intensity(row, window: Window, i: int, phi1: int | None = None,
     periodically padded to Npad = N + 2*(L//2) samples (``row_spectrum``),
     with 0 <= phi1 < phi2 <= Npad//2 + 1.  With total = sum_{k < phi2} p_k
     and low = sum_{k < phi1} p_k, rho = max(total - low, 0) / total, so
-    0 <= rho <= 1 holds in floating point too.  For the default phi2 =
-    Npad//2 + 1, total is the whole one-sided power, which Parseval gives
-    from the L windowed deviation samples t: (Npad sum t^2 + p_0 +
-    p_{Npad/2}) / 2, the last term for even Npad only.  A custom phi2 sums
-    its band directly (the power above it, subtracted from that total,
-    would cancel catastrophically).  Defaults: phi2 = Npad//2 + 1 and
+    0 <= rho <= 1 holds in floating point too.  Both sums are read from
+    the row's one spectrum, whose Npad//2 + 1 bins come from one real FFT;
+    for the default phi2 = Npad//2 + 1, total is the whole one-sided power.
+    Defaults: phi2 = Npad//2 + 1 and
     phi1 = min(ceil(Npad/8), Npad//2).  Rows with zero variation have no
     motion by definition and return 0.0 exactly, as does a vanishing
     spectrum.

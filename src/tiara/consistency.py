@@ -79,11 +79,13 @@ def estimate_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE) 
 
 def _error_and_kappa(x, x_dyn, w: Window, k_t: int, tol: float = KAPPA_TOLERANCE):
     """E(x, tau) per shift and ``estimate_kappa``'s kappa of one signal pair,
-    from two tables: x_dyn's is this call's own, so it is divided in place."""
-    mag_x = high_band(x, w, k_t)
+    from one transform of the stacked pair: x_dyn's table is divided in place."""
+    x = as_signal(x)
+    _k_threshold_rule(k_t, "k_threshold", len(x))
     _finite_rule(tol, "tol", 0)
+    pair = np.stack((x, as_signal(x_dyn)))[:, None]  # each signal at every shift
+    mag_x, ratio = dstft_magnitudes(pair, w, np.arange(len(x)), np.arange(k_t, len(x) // 2 + 1))
     keep = mag_x >= tol if tol else mag_x > 0  # a zero |T(x)| has no ratio
-    ratio = high_band(x_dyn, w, k_t)
     np.divide(ratio, mag_x, out=ratio, where=keep)
     return mag_x.sum(axis=-1), float(ratio.max(where=keep, initial=0.0))
 

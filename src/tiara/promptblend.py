@@ -80,12 +80,38 @@ class AlignedPromptSet:
 @dataclass(frozen=True)
 class BlendSchedule:
     """Frame spans owned by each prompt, the denoising-step window in which
-    blending applies, and the layer index from which it always applies."""
+    blending applies, and the layer index from which it always applies.
+    It checks itself when built: at least one span, its bounds integers in
+    int64, each start <= its end < the next start; finite t1 <= t2; an
+    integer layer >= 0; total_frames (by default) the last span end."""
 
     segments: tuple
     t_window: tuple
     layer_threshold: int
-    total_frames: int
+    total_frames: int | None = None
+
+    def __post_init__(self):
+        segments = tuple(self.segments)
+        for s, e in segments:
+            for bound, name in ((s, "span start"), (e, "span end")):  # conditioning reads them as int64
+                _integer_rule(bound, name)
+                _index_rule(bound, name, _INT64.max + 1, _INT64.min)
+            if not s <= e:
+                raise ValidationError(f"span start {s} exceeds span end {e}")
+        segments = tuple((int(s), int(e)) for s, e in segments)
+        if not segments:
+            raise ValidationError("at least one frame span is required")
+        for (s0, e0), (s1, e1) in zip(segments, segments[1:]):
+            if not e0 < s1:
+                raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
+        t1, t2 = self.t_window[0], self.t_window[1]
+        _t_window_rule(t1, t2)  # before float(), which cannot name None or 10**400
+        _layer_rule(self.layer_threshold, "layer_threshold")
+        if self.total_frames not in (None, end := segments[-1][1]):
+            raise ValidationError(f"total_frames {_shown(self.total_frames)} is not the last span end {end}")
+        for name, value in (("segments", segments), ("t_window", (float(t1), float(t2))),
+                            ("layer_threshold", int(self.layer_threshold)), ("total_frames", end)):
+            object.__setattr__(self, name, value)
 
 
 def parse_organized(text: str, token_table: TokenTable) -> OrganizedPrompt:
@@ -162,26 +188,7 @@ _layer_rule = partial(_integer_rule, low=0)
 
 
 def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
-    segments = tuple(segments)
-    for s, e in segments:
-        for bound, name in ((s, "span start"), (e, "span end")):  # conditioning reads them as int64
-            _integer_rule(bound, name)
-            _index_rule(bound, name, _INT64.max + 1, _INT64.min)
-        if not s <= e:
-            raise ValidationError(f"span start {s} exceeds span end {e}")
-    segments = tuple((int(s), int(e)) for s, e in segments)
-    if not segments:
-        raise ValidationError("at least one frame span is required")
-    for (s0, e0), (s1, e1) in zip(segments, segments[1:]):
-        if not e0 < s1:
-            raise ValidationError(f"spans must be ordered with end {e0} < next start {s1}")
-    t1, t2 = t_window[0], t_window[1]
-    _t_window_rule(t1, t2)  # before float(), which cannot name None or 10**400
-    t1, t2 = float(t1), float(t2)
-    _layer_rule(layer_threshold, "layer_threshold")
-    return BlendSchedule(segments=segments, t_window=(t1, t2),
-                         layer_threshold=int(layer_threshold),
-                         total_frames=segments[-1][1])
+    return BlendSchedule(segments, t_window, layer_threshold)
 
 
 def interpolation_weight(n, n_end: int, next_start: int):

@@ -3,21 +3,19 @@
 A signal is a 1-D array of finite floats, indexed periodically: sample n
 means sample n mod N everywhere in this module (``dstft_bins`` and
 ``dstft_magnitudes`` also take a stack of signals along leading axes).
-Transforms are direct O(N) summations per coefficient; at the few hundred
-samples this toolkit works with, correctness and bit-stable results matter
-more than FFT speed.
+``dft`` sums its one coefficient directly.
 
-Both stacked kernels share one core.  It takes the stack a block of
-signals at a time, each block's (K, s) complex windowed sums within the
-package's one block budget (_BLOCK_BYTES, walked by _blocks), adds them up
-one window tap at a time with the signals innermost, and writes each block
-straight into the output: ``dstft_bins`` its product with the per-shift
-phase, ``dstft_magnitudes`` its modulus.  Neither the block nor the stack
-changes a signal's bits, as a BLAS product would (OpenBLAS gemm rounds a
-row differently in a 2-row and in a 4,096-row call).  The core's transform
-period may also exceed the signal length, with the taps still read
-N-periodically: ``attention``'s one walk over attention rows calls it that
-way, once per block of rows, to transform their periodic padding unbuilt.
+Both stacked kernels share one core.  A block of signals at a time,
+within the package's one block budget (_BLOCK_BYTES, walked by _blocks),
+it gathers each signal's L windowed taps at its shift, takes one real FFT
+of the period, and writes ``dstft_bins`` the bins times the per-shift
+phase, ``dstft_magnitudes`` their modulus.  NumPy's pocketfft transforms
+each row alone with one plan per length, so neither the block nor the
+stack changes a signal's bits, as a BLAS product would (OpenBLAS gemm
+rounds a row differently in a 2-row and in a 4,096-row call).  The period
+may exceed the signal length, with the taps still read N-periodically:
+``attention``'s one walk over attention rows transforms their periodic
+padding that way, unbuilt.
 """
 
 from dataclasses import dataclass
@@ -147,34 +145,42 @@ def _windowed_sums(x, w: Window, m, ks, phased: bool, period: int | None = None)
     """Each stacked signal's transform at its shift, for every k in ``ks``:
     the coefficient with ``phased``, otherwise its modulus.
 
-    Per block of s signals, the taps are gathered as (L, s) and
-    ``basis[j][:, None] * taps[j]`` is accumulated in tap order into the
-    (K, s) sums sum_j x[(m + j - L//2) mod N] psi_j exp(-2i pi (j - L//2) k / P), P = period or N.
+    Per block of s signals, the taps t_j = x[(m + j - L//2) mod N] psi_j are
+    gathered as (s, L), folded onto the period P = period or N when L > P,
+    and zero-padded to P by one rfft, giving sum_j t_j exp(-2i pi j k / P)
+    for k <= P/2; bin k is read at min(k, P - k), conjugated above P/2.  The
+    coefficient is that times the phase exp(-2i pi ((m - L//2) k mod P) / P).
     """
     x = np.asarray(x, dtype=float)
-    m, ks = np.asarray(m), np.asarray(ks)
+    m = np.asarray(m)
     n = x.shape[-1]
     period = n if period is None else period
+    ks = np.asarray(ks) % period  # frequency k is read P-periodically
     shape = np.broadcast_shapes(x.shape[:-1], m.shape)
     # signal s of the stack is row rows[s] of x, read at shift shifts[s]
     rows = np.broadcast_to(np.arange(x[..., 0].size).reshape(x.shape[:-1]), shape).ravel()
     shifts = np.broadcast_to(m, shape).ravel()
     signals = x.reshape(-1, n)  # once: a view of a contiguous stack
     offsets = np.arange(w.length) - w.half
+    bins = np.minimum(ks, period - ks)  # a real signal's bin k is the conjugate of its bin P - k
+    if len(ks) and np.array_equal(ks, np.arange(ks[0], ks[0] + len(ks))) and ks[-1] <= period // 2:
+        bins = slice(ks[0], ks[-1] + 1)  # a run of bins is read as a view, not copied
     roots = np.exp(-2j * np.pi * np.arange(period) / period)
-    basis = roots[np.outer(offsets, ks) % period]
     out = np.empty((len(shifts), len(ks)), dtype=complex if phased else float)
-    for block in _blocks(len(shifts), 16 * max(1, len(ks))):
-        taps = signals[rows[block], (shifts[block] + offsets[:, None]) % n]
-        taps *= w.coefficients[:, None]
-        sums = np.zeros((len(ks), taps.shape[1]), dtype=complex)
-        for j in range(w.length):
-            sums += basis[j][:, None] * taps[j]
+    # bytes per signal: its taps with their indices, the rfft's bins, the K read from them, the phase's
+    per_signal = 24 * w.length + 16 * (period // 2 + 1) + (48 if phased else 16) * len(ks)
+    for block in _blocks(len(shifts), per_signal):
+        taps = signals[rows[block, None], (shifts[block, None] + offsets) % n]
+        taps *= w.coefficients
+        for start in range(period, w.length, period):  # fold the taps past the period onto it
+            taps[:, :min(period, w.length - start)] += taps[:, start:start + period]
+        sums = np.fft.rfft(taps[:, :period], n=period)[:, bins]
         if phased:
+            np.conjugate(sums, out=sums, where=ks > period // 2)
             # out of place: an in-place complex multiply rounds short arrays differently
-            np.multiply(roots[(shifts[block, None] * ks) % period], sums.T, out=out[block])
+            np.multiply(roots[((shifts[block, None] - w.half) * ks) % period], sums, out=out[block])
         else:
-            np.abs(sums.T, out=out[block])
+            np.abs(sums, out=out[block])
     return out.reshape(shape + (len(ks),))
 
 
@@ -186,16 +192,11 @@ def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
     the result has shape broadcast(x.shape[:-1], m.shape) + (len(ks),).  The
     sum runs over the window support; sample positions m + j - L//2 and the
     complex exponential are both taken N-periodically, matching the
-    periodic extension used throughout.  The exponential factors into a
-    per-shift phase exp(-2i pi (m k mod N) / N) times one (L, K) basis,
-    both read from one table of the N-th roots of unity.  The result is that
-    phase times the core windowed sums, which ``dstft_magnitudes`` reads
-    without the phase; the core keeps the stacked signals innermost.
-
-    The taps are accumulated one at a time in a fixed order, so each signal
-    gets the same bits whatever is stacked beside it.  A BLAS product would
-    not: OpenBLAS gemm gives a row different bits in a 2-row and in a
-    4,096-row call (L = 9, 2K = 514).
+    periodic extension used throughout.  The exponential factors into the
+    per-shift phase exp(-2i pi ((m - L//2) k mod N) / N), read from a table
+    of the N-th roots of unity, times the real FFT of the L windowed taps,
+    which ``dstft_magnitudes`` reads without the phase.  Each signal gets
+    the same bits whatever is stacked beside it (see the module docstring).
     """
     return _windowed_sums(x, w, m, ks, phased=True)
 
@@ -203,10 +204,10 @@ def dstft_bins(x, w: Window, m, ks) -> np.ndarray:
 def dstft_magnitudes(x, w: Window, m, ks) -> np.ndarray:
     """|dstft_bins(x, w, m, ks)|, in the same shape, without forming the phase.
 
-    The phase has modulus one, so this is the modulus of the core windowed
-    sums alone.  It matches np.abs of ``dstft_bins`` to rounding, not bit
-    for bit (that path rounds one more complex multiply), and each signal
-    gets the same bits whatever is stacked beside it.
+    The phase has modulus one, so this is the modulus of the real FFT of
+    the windowed taps alone.  It matches np.abs of ``dstft_bins`` to
+    rounding, not bit for bit (that path rounds one more complex multiply),
+    and each signal gets the same bits whatever is stacked beside it.
     """
     return _windowed_sums(x, w, m, ks, phased=False)
 

@@ -7,10 +7,10 @@ the reweighting coefficient alpha from the closed form that balances
 iota + kappa * lambda = eta, applies the purely diagonal penalty, and
 compares the per-shift inconsistency errors of the reweighted output
 against the original.  Each of the four signals x, x_dyn, y and y_dyn is
-transformed once, and each pair is read from its two tables alone.  One
-predicate decides feasibility for the instance flag, ``require_feasible``
-and the closed form.  The guarantee is asymptotic, so a finite-size
-slack is added to eta: 0.05 for N >= 128 and 0.15 below.
+transformed once, a pair per stacked call, and each pair is read from its
+two tables alone.  One predicate decides feasibility for the instance
+flag, ``require_feasible`` and the closed form.  The guarantee is
+asymptotic, so eta gets a finite-size slack: 0.05 for N >= 128, else 0.15.
 
 The reweighted map softmax(log a - alpha * I) is never formed.  With row
 sums s, diagonal d, q = e^-alpha and x = a @ v, its row i is
@@ -18,7 +18,7 @@ a[i, j] * q^[i = j] / den_i with den = s - (1 - q) * d, so
 y = (x - (1 - q) * d * v) / den, y_dyn = (x - d * v) / den and
 x_dyn = x - d * v: O(N) work after the one matvec.  The verifier holds no
 N x N array beyond the attention map and fixed-size transform blocks, so
-``verify-theorem --sizes 2048`` peaks at about 105 MiB of RSS and
+``verify-theorem --sizes 2048`` peaks at about 103 MiB of RSS and
 ``--sizes 4096`` at about 300 MiB (2-core x86_64, NumPy 2.4).
 """
 
@@ -262,7 +262,8 @@ def format_report(report: TheoremReport) -> str:
     support: with a high-frequency line of amplitude 1e-12, |T(x)| is about
     1e-12 while x is about 1, so float64 rounding in x = a @ v alone moves
     kappa_hat by up to about 5e-10 relative, and only about 9 to 10 of its
-    digits are meaningful.
+    digits are meaningful.  At N = 4096, direct and real-FFT windowed sums
+    give kappa_hat values 6.8e-11 apart relative, in the 11th digit.
     """
     lines = [
         f"n: {report.n}",

@@ -256,6 +256,25 @@ def test_one_walk_transforms_attention_rows():
     assert (callers, padders) == ({"_motion"}, {"_band"})
 
 
+def test_one_function_calls_the_fft():
+    """Only ``spectral._windowed_sums`` names ``np.fft``, and no module
+    imports it: every windowed table comes from the core's per-row rfft,
+    and ``dft`` stays a direct sum for its one coefficient."""
+    def uses(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "fft"
+                or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node)]
+
+    found, core = [], []
+    for path in sorted(Path(tiara.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "spectral.py":
+            core = [node for function in tree.body if getattr(function, "name", None) == "_windowed_sums"
+                    for node in uses(function)]
+        found += [f"{path.name}:{node.lineno}" for node in uses(tree) if node not in core]
+    assert core and found == []
+
+
 def test_parameter_rules_raise_for_themselves():
     """Every parameter rule raises ``ValidationError`` itself, so no function
     binds a message to raise (``violation := ...``) except the two callers of

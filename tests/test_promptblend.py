@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tiara import (AlignmentError, OrganizedPrompt, PromptParseError,
+from tiara import (AlignmentError, BlendSchedule, OrganizedPrompt, PromptParseError,
                    TokenTable, ValidationError, align, conditioning,
                    embed_aligned, interpolation_weight, make_schedule,
                    parse_organized)
@@ -272,6 +272,38 @@ class TestSchedule:
     def test_total_frames(self):
         schedule = make_schedule([(0, 50), (150, 310)], (0.6, 1.0), 8)
         assert schedule.total_frames == 310
+
+    def test_direct_construction_checks_itself(self):
+        # the schedule was built, and conditioning raised a raw OverflowError from
+        # np.array(segments, dtype=np.int64); now the schedule is refused as it is built
+        message = "span end 9223372036854775808 out of range [-9223372036854775808, 9223372036854775808)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            conditioning(BlendSchedule(((0, 50), (150, 2**63)), (0.6, 1.0), 8, 2**63),
+                         np.zeros((2, 1, 1)), 0, 0.8, 0)
+
+    @pytest.mark.parametrize("segments, t_window, layer, message", [
+        ([], (0.5, 1.0), 8, "at least one frame span is required"),
+        ([(5, 3)], (0.5, 1.0), 8, "span start 5 exceeds span end 3"),
+        ([(0, 50), (50, 100)], (0.5, 1.0), 8, "spans must be ordered with end 50 < next start 50"),
+        ([(0, 4.0)], (0.5, 1.0), 8, "span end must be an integer, got 4.0 (dtype float64)"),
+        ([(0, 10)], (0.9, 0.5), 8, "t1 must be <= t2, got 0.9 > 0.5"),
+        ([(0, 10)], (0.5, np.nan), 8, "t2 must be finite, got nan"),
+        ([(0, 10)], (0.5, 1.0), -1, "layer_threshold must be an integer >= 0, got -1"),
+    ], ids=["no_spans", "reversed", "unordered", "float_bound", "t_window", "non_finite_t", "layer"])
+    def test_direct_construction_runs_make_schedules_rules(self, segments, t_window, layer, message):
+        for build in (BlendSchedule, make_schedule):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build(segments, t_window, layer)
+
+    def test_direct_construction_matches_make_schedule(self):
+        built = BlendSchedule([(0, np.int64(50)), (150, 310)], [1, 2], np.uint8(8))
+        assert built == make_schedule([(0, 50), (150, 310)], (1, 2), 8)
+        assert (built.segments, built.t_window, built.layer_threshold, built.total_frames) == (
+            ((0, 50), (150, 310)), (1.0, 2.0), 8, 310)
+        assert all(type(v) is int for span in built.segments for v in span)
+        assert BlendSchedule([(0, 50), (150, 310)], (1, 2), 8, 310) == built
+        with pytest.raises(ValidationError, match="^total_frames 300 is not the last span end 310$"):
+            BlendSchedule([(0, 50), (150, 310)], (1, 2), 8, 300)
 
 
 @pytest.fixture

@@ -129,6 +129,30 @@ class TestDstft:
                 for s in range(256):
                     assert np.array_equal(stacked[h, s], kernel(x[h, s], w, int(m[s]), ks))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("length", [8, 9, 13])
+    def test_window_longer_than_the_signal_matches_naive_oracle(self, n, length):
+        # L > N: the taps past the period are folded onto it before the transform
+        rng = np.random.default_rng(10 * length + n)
+        x, m, ks = rng.standard_normal(n), np.arange(-n, 2 * n), np.arange(n)
+        for kind in WINDOW_KINDS:
+            w = make_window(kind, length)
+            coeffs = list(w.coefficients)
+            bins, magnitudes = dstft_bins(x, w, m, ks), dstft_magnitudes(x, w, m, ks)
+            for shift, row, row_magnitudes in zip(m.tolist(), bins, magnitudes):
+                for k in range(n):
+                    expected = naive_dstft(list(x), coeffs, shift, k)
+                    assert abs(row[k] - expected) <= 1e-12 * max(1.0, abs(expected))
+                    assert abs(row_magnitudes[k] - abs(expected)) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_frequencies_are_read_periodically(self):
+        # bin k is bin k mod N, in both kernels, as the exponential is periodic
+        rng = np.random.default_rng(14)
+        x, w, m = rng.standard_normal((3, 7)), make_window("hann", 5), np.array([0, 3, -2])
+        ks = np.array([-1, 2, 9, -7, 20, 3])
+        for kernel in (dstft_bins, dstft_magnitudes):
+            assert np.array_equal(kernel(x, w, m, ks), kernel(x, w, m, ks % 7))
+
     def test_magnitudes_match_naive_oracle(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(24)

@@ -240,7 +240,7 @@ class TestVerifyTheorem:
         assert len(text.strip().splitlines()) == 15 + 32
 
     def test_four_transforms_per_instance(self, monkeypatch):
-        # one high-band table each for x, x_dyn, y and y_dyn
+        # one high-band table each for x, x_dyn, y and y_dyn, a stacked pair per call
         calls = []
         real = consistency.dstft_magnitudes
 
@@ -250,7 +250,7 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(consistency, "dstft_magnitudes", counting)
         verify_theorem(self._instance(32))
-        assert calls == [(32,)] * 4
+        assert calls == [(2, 1, 32)] * 2
 
     def test_instance_tables_match_the_consistency_functions(self):
         inst = self._instance(48)
@@ -267,13 +267,13 @@ class TestVerifyTheorem:
 def _reweighted_signals(monkeypatch, instance):
     """The y and y_dyn that verify_theorem transforms, in that order."""
     signals = []
-    real = consistency.high_band
+    real = consistency.dstft_magnitudes
 
-    def recording(x, *args):
-        signals.append(x)
-        return real(x, *args)
+    def recording(pair, *args):
+        signals.extend(pair[:, 0])
+        return real(pair, *args)
 
-    monkeypatch.setattr(consistency, "high_band", recording)
+    monkeypatch.setattr(consistency, "dstft_magnitudes", recording)
     report = verify_theorem(instance)
     return report.alpha, signals
 
