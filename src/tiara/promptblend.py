@@ -83,12 +83,11 @@ class BlendSchedule:
     blending applies, and the layer index from which it always applies.
     It checks itself when built: at least one span, its bounds integers in
     int64, each start <= its end < the next start; finite t1 <= t2; an
-    integer layer >= 0; total_frames (by default) the last span end."""
+    integer layer >= 0.  total_frames is the last span end."""
 
     segments: tuple
     t_window: tuple
     layer_threshold: int
-    total_frames: int | None = None
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -107,11 +106,13 @@ class BlendSchedule:
         t1, t2 = self.t_window[0], self.t_window[1]
         _t_window_rule(t1, t2)  # before float(), which cannot name None or 10**400
         _layer_rule(self.layer_threshold, "layer_threshold")
-        if self.total_frames not in (None, end := segments[-1][1]):
-            raise ValidationError(f"total_frames {_shown(self.total_frames)} is not the last span end {end}")
         for name, value in (("segments", segments), ("t_window", (float(t1), float(t2))),
-                            ("layer_threshold", int(self.layer_threshold)), ("total_frames", end)):
+                            ("layer_threshold", int(self.layer_threshold))):
             object.__setattr__(self, name, value)
+
+    @property
+    def total_frames(self) -> int:
+        return self.segments[-1][1]
 
 
 def parse_organized(text: str, token_table: TokenTable) -> OrganizedPrompt:
@@ -187,8 +188,7 @@ def _t_window_rule(t1, t2) -> None:
 _layer_rule = partial(_integer_rule, low=0)
 
 
-def make_schedule(segments, t_window, layer_threshold: int) -> BlendSchedule:
-    return BlendSchedule(segments, t_window, layer_threshold)
+make_schedule = BlendSchedule  # the schedule's original builder, kept as an alias
 
 
 def interpolation_weight(n, n_end: int, next_start: int):

@@ -29,8 +29,8 @@ WINDOW_KINDS = ("rectangular", "hann", "gaussian", "blackman")
 
 GAUSSIAN_SIGMA = 0.4
 
-# Bytes one block holds in every blocked loop, read by _blocks at each call: the core's
-# (K, s) complex sums, homogeneity_deviation's rows with their copy, dump-all's frames.
+# Bytes one block holds in every blocked loop, read by _blocks at each call: the core's taps and
+# rfft bins, homogeneity_deviation's rows with their copy, dump-all's frames.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -163,8 +163,6 @@ def _windowed_sums(x, w: Window, m, ks, phased: bool, period: int | None = None)
     signals = x.reshape(-1, n)  # once: a view of a contiguous stack
     offsets = np.arange(w.length) - w.half
     bins = np.minimum(ks, period - ks)  # a real signal's bin k is the conjugate of its bin P - k
-    if len(ks) and np.array_equal(ks, np.arange(ks[0], ks[0] + len(ks))) and ks[-1] <= period // 2:
-        bins = slice(ks[0], ks[-1] + 1)  # a run of bins is read as a view, not copied
     roots = np.exp(-2j * np.pi * np.arange(period) / period)
     out = np.empty((len(shifts), len(ks)), dtype=complex if phased else float)
     # bytes per signal: its taps with their indices, the rfft's bins, the K read from them, the phase's
@@ -216,7 +214,9 @@ def dstft(x, w: Window, m: int, k: int) -> complex:
     """Short-time coefficient sum_n x_n psi_{n-m} exp(-2i pi k n / N).
 
     With a rectangular window of length N this equals ``dft(x, k)`` for any
-    shift m.  m may be any integer (periodic); k must lie in [0, N).
+    shift m.  m may be any integer (periodic); k must lie in [0, N).  Each
+    call takes one real FFT of length N for its one coefficient; to read
+    many, call ``dstft_bins`` once.
     """
     x = as_signal(x)
     k = _check_frequency(k, len(x))

@@ -288,14 +288,16 @@ class TestMotionIntensity:
                 assert abs(magnitude - expected) <= 1e-12 * max(1.0, expected)
 
     def test_traced_peak_holds_no_padded_rows(self, monkeypatch):
-        """The field_reweight field: S = 4,096 rows of N = 16 frames, a
-        Blackman window of L = 9, so Npad = 24 and K = 13 bins, with blocks
-        of s = 64 rows.  The arrays that must exist at once are the (..., N, N)
-        deviation (8 S N bytes), the spectra (8 S K), the row means and the
-        kernel's row and shift indices (8 S each), and one block: its (L, s)
-        tap indices, index sum and taps (24 L s) and its (K, s) complex sums
-        and one product (32 K s), within 4 budgets of 16 K s; 16 KiB more
-        covers the small tables.  A (..., N, Npad) padded copy alone would add
+        """The field_reweight field: S = 4,096 rows of N = 16 frames, a Blackman
+        window of L = 9, so Npad = 24 and K = 13 bins, with blocks of s = 14
+        rows under a budget of 16 K 64 bytes.  The arrays that must exist at
+        once are the (..., N, N) deviation (8 S N bytes), the spectra (8 S K),
+        the row means and the kernel's row and shift indices (8 S each), and
+        one block: the walker counts 8 (2 N + 2 L + 5 K) bytes per row (the
+        rows' copy and deviation, the kernel's tap indices and taps, its rfft
+        of the K = Npad//2 + 1 bins and their copy, and the moduli), and the
+        block's temporaries stay within 4 budgets; 16 KiB more covers the
+        small tables.  A (..., N, Npad) padded copy alone would add
         8 S (Npad - N) = 256 KiB to that."""
         w, n, bins = make_window("blackman", 9), 16, 13
         rows = softmax_rows(np.random.default_rng(29).standard_normal((16, 16, n, n)))
@@ -313,13 +315,14 @@ class TestMotionIntensity:
     @pytest.mark.parametrize("call", ["row_spectrum", "motion_profile"])
     def test_traced_peak_holds_no_deviation_of_the_field(self, monkeypatch, call):
         """The field_reweight field as above: S = 4,096 rows, N = 16, K = 13
-        bins, blocks of 16 K 64 bytes.  The arrays that must exist at once
-        are the spectra (8 S K bytes), rho and the frame of each row (8 S
-        each), and the list of block slices (under 64 bytes per block of at
-        least 11 rows, so under 8 S).  One block of rows, with everything the
-        walker and the kernel form from it, fits in 4 budgets; 16 KiB more
-        covers the small tables.  A (..., N, N) deviation of the whole field
-        would add 8 S N = 512 KiB to that."""
+        bins, blocks of 16 K 64 bytes.  The arrays that must exist at once are
+        the spectra (8 S K bytes), rho and the frame of each row (8 S each),
+        and the list of block slices (under 64 bytes per block of at least 14
+        rows, so under 8 S).  One block of rows, with everything the walker
+        and the kernel form from it (its taps, their rfft and the bins read
+        from it), fits in 4 budgets; 16 KiB more covers the small tables.  A
+        (..., N, N) deviation of the whole field would add 8 S N = 512 KiB to
+        that."""
         w, n, bins = make_window("blackman", 9), 16, 13
         rows = softmax_rows(np.random.default_rng(29).standard_normal((16, 16, n, n)))
         count = rows.size // n
@@ -587,15 +590,16 @@ class TestTiaraPipeline:
         assert result.attention[0, 1, 1, 2] == 0.0 and result.attention[0, 1, 2, 0] == 0.0
 
     def test_traced_peak_holds_one_attention_map(self, monkeypatch):
-        """The arrays that must exist at once: the attention maps, reweighted
-        in place (8 N^2 bytes per location), the outputs (8 N d_v), and a few
+        """The arrays that must exist at once: the attention maps, reweighted in
+        place (8 N^2 bytes per location), the outputs (8 N d_v), and a few
         vectors of N floats per location: rho, the row maxima and sums, the
         frame indices and the diagonal factors, at most 8 of them.  Then one
-        block of the rho walk: the walker sizes its rows' deviation, taps
-        and bins within one budget, and one more covers the temporaries of
-        the expression being formed; 16 KiB covers the small tables.  A
-        penalty array, the shifted logits, a second softmax or the rows'
-        deviation would each add 8 N^2 bytes per location."""
+        block of the rho walk: the walker sizes its rows' copy and deviation,
+        the taps, the kernel's rfft bins and the bins read from them within
+        one budget, and one more covers the temporaries of the expression
+        being formed; 16 KiB covers the small tables.  A penalty array, the
+        shifted logits, a second softmax or the rows' deviation would each add
+        8 N^2 bytes per location."""
         h, w, n, d_v = 16, 16, 16, 4
         rng = np.random.default_rng(34)
         logits, values = rng.standard_normal((h, w, n, n)), rng.standard_normal((h, w, n, d_v))

@@ -278,7 +278,7 @@ class TestSchedule:
         # np.array(segments, dtype=np.int64); now the schedule is refused as it is built
         message = "span end 9223372036854775808 out of range [-9223372036854775808, 9223372036854775808)"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            conditioning(BlendSchedule(((0, 50), (150, 2**63)), (0.6, 1.0), 8, 2**63),
+            conditioning(BlendSchedule(((0, 50), (150, 2**63)), (0.6, 1.0), 8),
                          np.zeros((2, 1, 1)), 0, 0.8, 0)
 
     @pytest.mark.parametrize("segments, t_window, layer, message", [
@@ -291,19 +291,16 @@ class TestSchedule:
         ([(0, 10)], (0.5, 1.0), -1, "layer_threshold must be an integer >= 0, got -1"),
     ], ids=["no_spans", "reversed", "unordered", "float_bound", "t_window", "non_finite_t", "layer"])
     def test_direct_construction_runs_make_schedules_rules(self, segments, t_window, layer, message):
-        for build in (BlendSchedule, make_schedule):
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                build(segments, t_window, layer)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            BlendSchedule(segments, t_window, layer)
 
     def test_direct_construction_matches_make_schedule(self):
         built = BlendSchedule([(0, np.int64(50)), (150, 310)], [1, 2], np.uint8(8))
+        assert make_schedule is BlendSchedule
         assert built == make_schedule([(0, 50), (150, 310)], (1, 2), 8)
         assert (built.segments, built.t_window, built.layer_threshold, built.total_frames) == (
             ((0, 50), (150, 310)), (1.0, 2.0), 8, 310)
         assert all(type(v) is int for span in built.segments for v in span)
-        assert BlendSchedule([(0, 50), (150, 310)], (1, 2), 8, 310) == built
-        with pytest.raises(ValidationError, match="^total_frames 300 is not the last span end 310$"):
-            BlendSchedule([(0, 50), (150, 310)], (1, 2), 8, 300)
 
 
 @pytest.fixture
